@@ -27,7 +27,6 @@ from .waveform import (
     generate_offsets,
     make_chirp_bank,
     rect_pulse,
-    sample_waveform,
     with_freq_offset,
 )
 from .beampattern_instant import (

@@ -18,7 +18,6 @@ values are field magnitudes up to a positive constant.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -33,7 +32,6 @@ from .array_model import (
     UniformPlan,
     UnsupportedPlanError,
     WeightVector,
-    as_weight_array,
     plan_offsets,
 )
 from .waveform import BasebandWaveform
@@ -121,10 +119,16 @@ def exact_field_matrix(config: ArrayConfig, plan: FrequencyPlan,
     sum_m conj(w_m) * s_m(t_i) * exp(j*2*pi*df_m*t_i) * exp(j*2*pi*(f_c+df_m)*m*d*sin(theta_j)/c)
     with df_m from the plan; time-modulated plans replace the offset phases by
     chi_m(tau)*tau evaluated at the element-local time tau = t_i + m*d*sin(theta_j)/c.
+    Weights are one length-M vector for all times, or an (N_t, M) array whose
+    row i weights time sample t_i (time-variant beamforming).
     """
     t_prime = np.atleast_1d(np.asarray(t_prime, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    wc = np.conj(as_weight_array(w, config.num_elements))
+    wc = np.conj(np.asarray(w, dtype=complex))
+    if wc.shape not in ((config.num_elements,), (t_prime.size, config.num_elements)):
+        raise ValueError(f"weights have shape {wc.shape}, expected ({config.num_elements},) "
+                         f"or ({t_prime.size}, {config.num_elements})")
+    wc = np.atleast_2d(wc)  # (1, M) or (N_t, M): row i weights time t_i
     wfs = _waveform_list(waveforms, config.num_elements)
     m = config.element_index
     d_over_c = config.spacing / config.wave_speed
@@ -138,14 +142,14 @@ def exact_field_matrix(config: ArrayConfig, plan: FrequencyPlan,
                 config.carrier_freq * mi * d_over_c * sin_th[None, :]
                 + plan.chi(int(mi), tau) * tau
             )
-            field += wc[mi] * wfs[mi].sample(t_prime)[:, None] * np.exp(1j * phase)
+            field += (wc[:, mi] * wfs[mi].sample(t_prime))[:, None] * np.exp(1j * phase)
         return config.element_pattern_gain * field
 
     offsets = plan_offsets(plan, config.num_elements)
     # time factor (N_t, M), with each element's envelope folded in
     time_fac = np.exp(2j * np.pi * np.outer(t_prime, offsets))
     samples = np.stack([wf.sample(t_prime) for wf in wfs], axis=1)
-    time_fac *= samples * wc[None, :]
+    time_fac *= samples * wc
     # angle factor (M, N_theta)
     angle_fac = np.exp(
         2j * np.pi * d_over_c * np.outer((config.carrier_freq + offsets) * m, sin_th)
@@ -220,7 +224,7 @@ def sweep_grid(config: ArrayConfig, plan: FrequencyPlan,
                w: WeightVector | np.ndarray,
                waveforms: BasebandWaveform | Sequence[BasebandWaveform],
                n_time: int = 512, n_theta: int = 1024,
-               engine: str = "exact", workers: int = 1) -> BeampatternGrid:
+               engine: str = "exact") -> BeampatternGrid:
     """Dense magnitude grid over [0, T_p] x (-pi/2, pi/2).
 
     engine "exact" evaluates the element sum (any plan); "closed_form"
@@ -236,16 +240,7 @@ def sweep_grid(config: ArrayConfig, plan: FrequencyPlan,
             raise UnsupportedPlanError("closed-form engine requires a uniform plan")
         values = fitb_closed_form(config, plan.delta_f, t_axis[:, None], th_axis[None, :])
     elif engine == "exact":
-        if workers <= 1 or n_time < 2 * workers:
-            values = np.abs(exact_field_matrix(config, plan, w, waveforms, t_axis, th_axis))
-        else:
-            values = np.empty((n_time, n_theta))
-            chunks = np.array_split(np.arange(n_time), workers)
-            def run(idx):
-                values[idx] = np.abs(
-                    exact_field_matrix(config, plan, w, waveforms, t_axis[idx], th_axis))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run, chunks))
+        values = np.abs(exact_field_matrix(config, plan, w, waveforms, t_axis, th_axis))
     else:
         raise ValueError(f"unknown engine {engine!r}")
     return BeampatternGrid(t_axis, th_axis, values, "linear-magnitude")

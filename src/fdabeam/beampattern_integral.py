@@ -81,24 +81,36 @@ class CovarianceMatrix:
         return float(np.abs(off).max()) if self.num_elements > 1 else 0.0
 
 
-def _offset_span(plan: FrequencyPlan | None, num_elements: int) -> float:
-    "Frequency extent of the offset set: M*delta_f for uniform plans, else the range."
+def _integrand_rate(waveforms: Sequence[BasebandWaveform],
+                    plan: FrequencyPlan | None, num_elements: int) -> float:
+    """Fastest frequency content of the covariance integrand in Hz.
+
+    The widest baseband plus the extent of the offset set: M*delta_f for
+    uniform plans, the offset range for tabulated plans, 0 without a plan.
+    """
+    b_max = max((wf.bandwidth + abs(wf.freq_offset) for wf in waveforms), default=0.0)
     if plan is None:
-        return 0.0
-    if isinstance(plan, UniformPlan):
-        return num_elements * abs(plan.delta_f)
-    offsets = plan_offsets(plan, num_elements)
-    return float(offsets.max() - offsets.min()) if offsets.size else 0.0
+        span = 0.0
+    elif isinstance(plan, UniformPlan):
+        span = num_elements * abs(plan.delta_f)
+    else:
+        offsets = plan_offsets(plan, num_elements)
+        span = float(offsets.max() - offsets.min()) if offsets.size else 0.0
+    return b_max + span
+
+
+def _samples_for(pulse_duration: float, rate: float) -> int:
+    "At least 8 samples per fastest integrand cycle over the pulse, floor 4096."
+    return max(MIN_QUADRATURE_SAMPLES,
+               int(math.ceil(SAMPLES_PER_CYCLE * pulse_duration * rate)))
 
 
 def default_quadrature_samples(config: ArrayConfig,
                                waveforms: Sequence[BasebandWaveform],
                                plan: FrequencyPlan | None = None) -> int:
     "Trapezoid sample count: at least 8 samples per fastest integrand cycle, floor 4096."
-    b_max = max((wf.bandwidth + abs(wf.freq_offset) for wf in waveforms), default=0.0)
-    rate = b_max + _offset_span(plan, config.num_elements)
-    return max(MIN_QUADRATURE_SAMPLES,
-               int(math.ceil(SAMPLES_PER_CYCLE * config.pulse_duration * rate)))
+    return _samples_for(config.pulse_duration,
+                        _integrand_rate(waveforms, plan, config.num_elements))
 
 
 def covariance(waveforms: Sequence[BasebandWaveform],
@@ -126,19 +138,16 @@ def covariance(waveforms: Sequence[BasebandWaveform],
         if plan is None:
             raise ValueError("fda covariance requires a frequency plan")
         offsets = plan_offsets(plan, m_count)
-        span = _offset_span(plan, m_count)
     elif flavor == "mimo":
         offsets = np.zeros(m_count)
-        span = 0.0
+        plan = None  # the bare basebands carry no offset phases
     else:
         raise ValueError(f"unknown covariance flavor {flavor!r}")
 
-    b_max = max(wf.bandwidth + abs(wf.freq_offset) for wf in waveforms)
-    rate = b_max + span
+    rate = _integrand_rate(waveforms, plan, m_count)
     required = 2.0 * tp * rate
     if n_quadrature is None:
-        n_quadrature = max(MIN_QUADRATURE_SAMPLES,
-                           int(math.ceil(SAMPLES_PER_CYCLE * tp * rate)))
+        n_quadrature = _samples_for(tp, rate)
     if n_quadrature < required:
         raise SamplingError(
             f"{n_quadrature} quadrature samples undersample an integrand with "
@@ -156,13 +165,15 @@ def covariance(waveforms: Sequence[BasebandWaveform],
     return CovarianceMatrix(entries=gram, flavor=flavor, n_quadrature=n_quadrature)
 
 
-def _quadratic_form(r: np.ndarray, v: np.ndarray) -> np.ndarray:
-    "Real part of v^H R v for each row of v."
-    return np.real(np.einsum("nm,mk,nk->n", v.conj(), r, v))
+def _steered_power(r: CovarianceMatrix, w: WeightVector | np.ndarray,
+                   steer: np.ndarray) -> np.ndarray:
+    "Re(v^H R v) for each row v = w * conj(a) of the (N, M) steering matrix."
+    v = as_weight_array(w, r.num_elements)[None, :] * steer.conj()
+    return np.real(np.einsum("nm,mk,nk->n", v.conj(), r.entries, v))
 
 
 def fgtb(r: CovarianceMatrix, config: ArrayConfig, plan: FrequencyPlan,
-         w: WeightVector | np.ndarray, theta, method: str = "quadratic") -> np.ndarray:
+         w: WeightVector | np.ndarray, theta) -> np.ndarray:
     """Pulse-integrated beampattern (1/T_p) * v^H R v at azimuth(s) theta.
 
     v pairs the conjugate weights with the full angle steering (carrier plus
@@ -172,18 +183,8 @@ def fgtb(r: CovarianceMatrix, config: ArrayConfig, plan: FrequencyPlan,
     if r.flavor != "fda":
         raise FlavorMismatchError("fgtb requires an fda-flavor covariance")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    wv = as_weight_array(w, config.num_elements)
-    steer = combined_angle_steering(config, plan, theta)  # (N, M)
-    v = wv[None, :] * steer.conj()
-    if method == "quadratic":
-        vals = _quadratic_form(r.entries, v)
-    elif method == "trace":
-        vals = np.array([
-            float(np.real(np.trace(r.entries @ np.outer(row, row.conj())))) for row in v
-        ])
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return vals / config.pulse_duration
+    steer = combined_angle_steering(config, plan, theta)
+    return _steered_power(r, w, steer) / config.pulse_duration
 
 
 def mimo_beampattern(r: CovarianceMatrix, config: ArrayConfig,
@@ -196,9 +197,7 @@ def mimo_beampattern(r: CovarianceMatrix, config: ArrayConfig,
     if r.flavor != "mimo":
         raise FlavorMismatchError("mimo_beampattern requires a mimo-flavor covariance")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    wv = as_weight_array(w, config.num_elements)
-    steer = steering_angle(config, theta)
-    return _quadratic_form(r.entries, wv[None, :] * steer.conj())
+    return _steered_power(r, w, steering_angle(config, theta))
 
 
 def equivalence_fo_bounds(config: ArrayConfig, waveform_bandwidth: float) -> tuple[float, float]:
@@ -239,7 +238,6 @@ def compare_fgtb_mimo(config: ArrayConfig, plan: UniformPlan,
     the two constructions coincide and the deviation is exactly zero.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    wv = as_weight_array(w, config.num_elements)
     offsets = plan_offsets(plan, config.num_elements)
     mimo_wfs = [with_freq_offset(wf, off) for wf, off in zip(waveforms, offsets)]
 
@@ -248,10 +246,10 @@ def compare_fgtb_mimo(config: ArrayConfig, plan: UniformPlan,
     r_fda = covariance(waveforms, plan, "fda", n_quadrature, num_elements=config.num_elements)
     r_mimo = covariance(mimo_wfs, None, "mimo", n_quadrature, num_elements=config.num_elements)
 
-    raw_fgtb = _quadratic_form(r_fda.entries,
-                               wv[None, :] * combined_angle_steering(config, plan, theta).conj())
-    raw_mimo = _quadratic_form(r_mimo.entries,
-                               wv[None, :] * steering_angle(config, theta).conj())
+    # fgtb() would divide by T_p before normalizing; normalize the unscaled
+    # form so the 0 Hz deviation stays exactly zero
+    raw_fgtb = _steered_power(r_fda, w, combined_angle_steering(config, plan, theta))
+    raw_mimo = mimo_beampattern(r_mimo, config, w, theta)
     fgtb_norm = raw_fgtb / raw_fgtb.max()
     mimo_norm = raw_mimo / raw_mimo.max()
     return EquivalenceComparison(

@@ -62,7 +62,6 @@ from .scan_analytics import (
 from .waveform import FoCoding, generate_offsets, make_chirp_bank, rect_pulse
 
 OUT_ENV = "FDABEAM_OUT"
-THREADS_ENV = "FDABEAM_THREADS"
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -86,36 +85,57 @@ _UNIT_SCALE = {
 _QTY_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([a-zA-Zµ]*)\s*$")
 
 
+def _split_number(text: str, where: str, what: str) -> tuple[float, str]:
+    "Leading number and unit suffix of a value; the pattern also admits non-numbers like '1e'."
+    match = _QTY_RE.match(text)
+    if match:
+        try:
+            return float(match.group(1)), match.group(2)
+        except ValueError:
+            pass
+    raise ScenarioParseError(f"{where}: cannot parse {what} {text!r}")
+
+
 def parse_quantity(text: str, where: str) -> float:
     "Number with optional engineering unit suffix, normalized to SI."
-    match = _QTY_RE.match(text)
-    if not match:
-        raise ScenarioParseError(f"{where}: cannot parse quantity {text!r}")
-    value = float(match.group(1))
-    unit = match.group(2).replace("µ", "u").lower()
+    value, suffix = _split_number(text, where, "quantity")
+    unit = suffix.replace("µ", "u").lower()
     if not unit:
         return value
     if unit not in _UNIT_SCALE:
-        raise ScenarioParseError(f"{where}: unknown unit {match.group(2)!r}")
+        raise ScenarioParseError(f"{where}: unknown unit {suffix!r}")
     return value * _UNIT_SCALE[unit]
 
 
 def parse_angle(text: str, where: str) -> float:
     "Angle in radians; bare numbers and 'deg' suffixes are degrees, 'rad' is radians."
-    match = _QTY_RE.match(text)
-    if not match:
-        raise ScenarioParseError(f"{where}: cannot parse angle {text!r}")
-    value = float(match.group(1))
-    unit = match.group(2).lower()
+    value, suffix = _split_number(text, where, "angle")
+    unit = suffix.lower()
     if unit in ("", "deg"):
         return np.radians(value)
     if unit == "rad":
         return value
-    raise ScenarioParseError(f"{where}: unknown angle unit {match.group(2)!r}")
+    raise ScenarioParseError(f"{where}: unknown angle unit {suffix!r}")
 
 
 def _parse_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _get(sec: configparser.SectionProxy, key: str, fallback, kind: str = "int"):
+    "sec.getint/getfloat/getboolean, reporting an unparseable value as a parse error."
+    try:
+        return getattr(sec, f"get{kind}")(key, fallback=fallback)
+    except ValueError as exc:
+        raise ScenarioParseError(f"{sec.name}.{key}: {exc}") from None
+
+
+def _samples(sec: configparser.SectionProxy, key: str, fallback: int) -> int:
+    "A grid sample count; every grid axis needs at least two samples."
+    n = _get(sec, key, fallback)
+    if n < 2:
+        raise ScenarioValidationError(f"{sec.name}.{key}: need at least 2 samples, got {n}")
+    return n
 
 
 @dataclass
@@ -164,7 +184,7 @@ def _parse_plan(parser: configparser.ConfigParser, num_elements: int,
     if kind == "coded":
         coding_name = sec.get("coding", "").strip().lower()
         scale = parse_quantity(sec.get("offset", "0"), "plan.offset")
-        seed = sec.getint("seed", fallback=None)
+        seed = _get(sec, "seed", None)
         if seed is None:
             seed = default_seed
         if coding_name == "random" and seed is None:
@@ -210,7 +230,7 @@ def _parse_weights(parser: configparser.ConfigParser, config: ArrayConfig,
         except ValueError as exc:
             raise ScenarioValidationError(f"weights: {exc}") from exc
     if kind == "random":
-        seed = sec.getint("seed", fallback=None)
+        seed = _get(sec, "seed", None)
         if seed is None:
             seed = default_seed
         if seed is None:
@@ -231,8 +251,8 @@ def _parse_waveforms(parser: configparser.ConfigParser, config: ArrayConfig) -> 
     if kind == "chirp-bank":
         return make_chirp_bank(
             config,
-            base_rate_num=sec.getfloat("base_rate", 100.0),
-            rate_step=sec.getfloat("rate_step", 10.0),
+            base_rate_num=_get(sec, "base_rate", 100.0, "float"),
+            rate_step=_get(sec, "rate_step", 10.0, "float"),
         )
     raise ScenarioParseError(f"waveforms: unknown kind {kind!r}")
 
@@ -283,10 +303,10 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     name = "scenario"
     if parser.has_section("scenario"):
         name = parser["scenario"].get("name", name)
-        seed = parser["scenario"].getint("seed", fallback=None)
+        seed = _get(parser["scenario"], "seed", None)
 
     config_dict = {
-        "num_elements": arr.getint("elements"),
+        "num_elements": _get(arr, "elements", None),
         "carrier_freq": parse_quantity(arr["carrier"], "array.carrier"),
         "pulse_duration": parse_quantity(arr["pulse"], "array.pulse"),
         "wave_speed": parse_quantity(arr.get("wave_speed", "3e8"), "array.wave_speed"),
@@ -312,17 +332,17 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
             if engine not in ("exact", "closed_form"):
                 raise ScenarioParseError(f"fitb_grid: unknown engine {engine!r}")
             evaluations.append((section, {
-                "n_time": sec.getint("time_samples", 512),
-                "n_theta": sec.getint("angle_samples", 1024),
+                "n_time": _samples(sec, "time_samples", 512),
+                "n_theta": _samples(sec, "angle_samples", 1024),
                 "engine": engine,
-                "trajectory": sec.getboolean("trajectory", False),
+                "trajectory": _get(sec, "trajectory", False, "boolean"),
             }))
         elif section == "zero_time_cut":
             tokens = _parse_list(sec.get("spacings", "")) or [arr.get("spacing", "half-wavelength")]
             spacings = [_resolve_spacing(tok, config_dict, plan, "zero_time_cut.spacings")
                         for tok in tokens]
             evaluations.append((section, {
-                "n_theta": sec.getint("angle_samples", 4096),
+                "n_theta": _samples(sec, "angle_samples", 4096),
                 "spacings": spacings,
                 "tokens": tokens,
             }))
@@ -333,35 +353,35 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
                 raise ScenarioParseError("legacy_grid: needs a ranges list")
             evaluations.append((section, {
                 "ranges": ranges,
-                "n_time": sec.getint("time_samples", 256),
-                "n_theta": sec.getint("angle_samples", 1024),
+                "n_time": _samples(sec, "time_samples", 256),
+                "n_theta": _samples(sec, "angle_samples", 1024),
             }))
         elif section == "fgtb_curve":
             offsets = [parse_quantity(v, "fgtb_curve.offsets")
                        for v in _parse_list(sec.get("offsets", "0"))]
             evaluations.append((section, {
                 "offsets": offsets,
-                "n_theta": sec.getint("angle_samples", 721),
-                "covariance_csv": sec.getboolean("covariance_csv", False),
+                "n_theta": _samples(sec, "angle_samples", 721),
+                "covariance_csv": _get(sec, "covariance_csv", False, "boolean"),
             }))
         elif section == "mimo_compare":
             offsets = [parse_quantity(v, "mimo_compare.offsets")
                        for v in _parse_list(sec.get("offsets", "0"))]
             evaluations.append((section, {
                 "offsets": offsets,
-                "n_theta": sec.getint("angle_samples", 721),
+                "n_theta": _samples(sec, "angle_samples", 721),
             }))
         elif section == "scan_report":
             evaluations.append((section, {
                 "t_eval": parse_quantity(sec.get("time", "0"), "scan_report.time"),
-                "k": sec.getint("k", 0),
+                "k": _get(sec, "k", 0),
             }))
         elif section == "schedule":
             segments = _parse_segments(sec, config)
             evaluations.append((section, {
                 "segments": segments,
-                "n_time": sec.getint("time_samples", 512),
-                "n_theta": sec.getint("angle_samples", 1024),
+                "n_time": _samples(sec, "time_samples", 512),
+                "n_theta": _samples(sec, "angle_samples", 1024),
             }))
     if not evaluations:
         raise ScenarioParseError("scenario requests no evaluations "
@@ -385,13 +405,6 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
                     formats=formats, out_dir=out_dir, seed=seed)
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def _write_grid(grid, out: Path, stem: str, formats) -> list[Path]:
     written = []
     if "csv" in formats:
@@ -408,7 +421,7 @@ def _write_grid(grid, out: Path, stem: str, formats) -> list[Path]:
 def _run_fitb_grid(sc: Scenario, params: dict, out: Path) -> list[Path]:
     grid = sweep_grid(sc.config, sc.plan, sc.weights, sc.waveforms,
                       n_time=params["n_time"], n_theta=params["n_theta"],
-                      engine=params["engine"], workers=_workers())
+                      engine=params["engine"])
     written = _write_grid(grid.to_db(), out, "fitb_grid_db", sc.formats)
     written += _write_grid(grid, out, "fitb_grid", sc.formats)
     if params["trajectory"]:
@@ -447,11 +460,11 @@ def _run_legacy_grid(sc: Scenario, params: dict, out: Path) -> list[Path]:
     # matched absolute instants: shared axis anchored at the furthest range
     r_ref = max(params["ranges"])
     t_axis = r_ref / c + np.linspace(0.0, sc.config.pulse_duration, params["n_time"])
+    # the retarded-time grid does not depend on range: one grid, written per range
+    fitb = sweep_grid(sc.config, sc.plan, sc.weights, sc.waveforms,
+                      n_time=params["n_time"], n_theta=params["n_theta"])
     for r in params["ranges"]:
         tag = f"{r / 1e3:g}km"
-        fitb = sweep_grid(sc.config, sc.plan, sc.weights, sc.waveforms,
-                          n_time=params["n_time"], n_theta=params["n_theta"],
-                          workers=_workers())
         written += _write_grid(fitb, out, f"fitb_r{tag}", sc.formats)
         legacy = legacy_grid(sc.config, delta_f, r, t_axis, params["n_theta"])
         written += _write_grid(legacy, out, f"legacy_r{tag}", sc.formats)

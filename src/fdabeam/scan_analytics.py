@@ -348,13 +348,9 @@ def schedule_playback_grid(config: ArrayConfig, delta_f: float,
     base = np.ones(config.num_elements, dtype=complex) if w is None \
         else as_weight_array(w, config.num_elements)
     th_axis = theta_grid(n_theta)
-    plan = UniformPlan(delta_f)
-    values = np.empty((schedule.t_grid.size, n_theta))
-    for i, (t, phi) in enumerate(zip(schedule.t_grid, schedule.phi)):
-        w_t = base * np.exp(-2j * np.pi * m * phi)
-        values[i] = np.abs(
-            exact_field_matrix(config, plan, w_t, waveform, np.asarray([t]), th_axis)[0]
-        )
+    w_t = base * np.exp(-2j * np.pi * m[None, :] * schedule.phi[:, None])  # (N_t, M)
+    values = np.abs(exact_field_matrix(config, UniformPlan(delta_f), w_t, waveform,
+                                       schedule.t_grid, th_axis))
     return BeampatternGrid(schedule.t_grid, th_axis, values, "linear-magnitude")
 
 

@@ -62,11 +62,6 @@ def rect_pulse(pulse_duration: float, bandwidth: float | None = None) -> Baseban
     return BasebandWaveform(pulse_duration=pulse_duration, bandwidth=b)
 
 
-def sample_waveform(w: BasebandWaveform, t) -> np.ndarray:
-    "Module-level alias for BasebandWaveform.sample."
-    return w.sample(t)
-
-
 def make_chirp_bank(config: ArrayConfig, base_rate_num: float = 100.0,
                     rate_step: float = 10.0) -> list[BasebandWaveform]:
     """One chirp per element with rate gamma_m = (base_rate_num + rate_step*m) / T_p^2.

@@ -112,8 +112,10 @@ class TestFgtb:
         r = fb.covariance(bank, plan, "fda", n_q, num_elements=M)
         theta = fb.theta_grid(17)
         w = fb.random_unimodular_weights(M, seed=11)
-        quad = fb.fgtb(r, cfg, plan, w, theta, method="quadratic")
-        trace = fb.fgtb(r, cfg, plan, w, theta, method="trace")
+        quad = fb.fgtb(r, cfg, plan, w, theta)
+        v = np.asarray(w)[None, :] * fb.combined_angle_steering(cfg, plan, theta).conj()
+        trace = np.array([np.real(np.trace(r.entries @ np.outer(row, row.conj())))
+                          for row in v]) / TP
         assert np.allclose(quad, trace, rtol=1e-10)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -140,15 +140,6 @@ class TestExecution:
         assert out == target
         assert (target / "manifest.json").exists()
 
-    def test_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "4")
-        out1 = run_scenario_text(SMALL_SCENARIO, tmp_path / "a")
-        monkeypatch.setenv(cli.THREADS_ENV, "1")
-        out2 = run_scenario_text(SMALL_SCENARIO, tmp_path / "b")
-        a = (out1 / "fitb_grid.csv").read_text()
-        b = (out2 / "fitb_grid.csv").read_text()
-        assert a == b
-
 
 class TestMainVerbs:
     def test_list_presets(self, capsys):
@@ -203,6 +194,34 @@ class TestMainVerbs:
         path = tmp_path / "s.ini"
         path.write_text("not an ini file at all [[[")
         assert cli.main(["validate", str(path)]) == cli.EXIT_PARSE
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("old, new", [
+        ("elements = 8", "elements = abc"),
+        ("trajectory = true", "trajectory = maybe"),
+        ("[scan_report]\n", "[scan_report]\nk = 1.5\n"),
+        ("[scan_report]", "[waveforms]\nkind = chirp-bank\nbase_rate = x\n\n[scan_report]"),
+        ("time = 1 us", "time = 1e us"),
+    ], ids=["getint", "getboolean", "getint-float", "getfloat", "quantity"])
+    def test_unparseable_value_exit_2(self, tmp_path, capsys, verb, old, new):
+        path = tmp_path / "s.ini"
+        path.write_text(SMALL_SCENARIO.replace(old, new))
+        assert cli.main([verb, str(path)]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("text", [
+        SMALL_SCENARIO.replace("angle_samples = 64", "angle_samples = 1"),
+        SMALL_SCENARIO.replace("time_samples = 16", "time_samples = 0"),
+        "[scenario]\npreset = fig2\n[zero_time_cut]\nangle_samples = 1\n",
+        "[scenario]\npreset = fig6\n[legacy_grid]\ntime_samples = -2\n",
+    ], ids=["fitb-angle", "fitb-time", "zero-time-cut-angle", "legacy-time"])
+    def test_too_few_samples_exit_3(self, tmp_path, capsys, verb, text):
+        path = tmp_path / "s.ini"
+        path.write_text(text)
+        assert cli.main([verb, str(path)]) == cli.EXIT_VALIDATION
+        assert "need at least 2 samples" in capsys.readouterr().err
 
     def test_every_preset_validates(self):
         for name, (_, text) in PRESETS.items():

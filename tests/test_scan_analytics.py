@@ -4,7 +4,7 @@ import pytest
 import fdabeam as fb
 from fdabeam.scan_analytics import EndfireSingularityError, first_null, zero_time_peaks
 
-from conftest import make_config
+from conftest import field_oracle, make_config
 
 M = 16
 
@@ -268,6 +268,23 @@ class TestPhaseSchedule:
         grid = fb.schedule_playback_grid(cfg, 0.0, sched, fb.rect_pulse(5e-6), n_theta=1024)
         traj = fb.measure_peak_trajectory(grid)
         assert np.degrees(np.abs(traj.theta - theta0)).max() < 0.5
+
+    def test_playback_matches_per_element_oracle(self):
+        delta_f = 200e3
+        cfg = make_config(delta_f)
+        rect = fb.rect_pulse(5e-6)
+        sched = fb.design_phase_schedule(
+            cfg, delta_f, [((0.0, 5e-6), (np.radians(-45.0), np.radians(45.0)))], n_time=64)
+        w = fb.random_unimodular_weights(M, seed=5)
+        grid = fb.schedule_playback_grid(cfg, delta_f, sched, rect, w, n_theta=256)
+        offsets = fb.plan_offsets(fb.UniformPlan(delta_f), M)
+        m = np.arange(M)
+        rng = np.random.default_rng(24)
+        for i, j in zip(rng.integers(0, 64, 24), rng.integers(0, 256, 24)):
+            w_i = np.asarray(w) * np.exp(-2j * np.pi * m * sched.phi[i])
+            want = abs(field_oracle(cfg, offsets, w_i, [rect] * M,
+                                    sched.t_grid[i], grid.theta_axis[j]))
+            assert grid.values[i, j] == pytest.approx(want, rel=0, abs=1e-9 * M / np.sqrt(5e-6))
 
     def test_gap_holds_previous_end_angle(self):
         delta_f = 100e3

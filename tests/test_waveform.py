@@ -17,7 +17,6 @@ class TestBasebandWaveform:
     def test_rect_sample_mid_pulse(self):
         wf = fb.rect_pulse(5e-6)
         assert wf.sample(2.5e-6) == pytest.approx(1 / np.sqrt(5e-6))
-        assert fb.sample_waveform(wf, 2.5e-6) == wf.sample(2.5e-6)
 
     def test_zero_outside_support(self):
         for wf in (fb.rect_pulse(5e-6),
