@@ -17,7 +17,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -150,11 +150,6 @@ class Scenario:
     evaluations: list[tuple[str, dict]] = field(default_factory=list)
     formats: tuple[str, ...] = ("csv",)
     out_dir: str = "out"
-    seed: int | None = None
-
-
-_EVAL_SECTIONS = ("fitb_grid", "zero_time_cut", "legacy_grid", "fgtb_curve",
-                  "mimo_compare", "scan_report", "schedule")
 
 
 def _resolve_spacing(token: str, config_dict: dict, plan: FrequencyPlan, where: str) -> float:
@@ -173,6 +168,13 @@ def _resolve_spacing(token: str, config_dict: dict, plan: FrequencyPlan, where: 
     return parse_quantity(token, where)
 
 
+def _preset_text(name: str) -> str:
+    try:
+        return presets_mod.preset_text(name)
+    except KeyError as exc:
+        raise ScenarioValidationError(exc.args[0]) from exc
+
+
 def _parse_plan(parser: configparser.ConfigParser, num_elements: int,
                 default_seed: int | None) -> FrequencyPlan:
     if not parser.has_section("plan"):
@@ -184,9 +186,7 @@ def _parse_plan(parser: configparser.ConfigParser, num_elements: int,
     if kind == "coded":
         coding_name = sec.get("coding", "").strip().lower()
         scale = parse_quantity(sec.get("offset", "0"), "plan.offset")
-        seed = _get(sec, "seed", None)
-        if seed is None:
-            seed = default_seed
+        seed = _get(sec, "seed", default_seed)
         if coding_name == "random" and seed is None:
             raise ScenarioValidationError("plan: random coding requires a seed")
         try:
@@ -230,12 +230,13 @@ def _parse_weights(parser: configparser.ConfigParser, config: ArrayConfig,
         except ValueError as exc:
             raise ScenarioValidationError(f"weights: {exc}") from exc
     if kind == "random":
-        seed = _get(sec, "seed", None)
-        if seed is None:
-            seed = default_seed
+        seed = _get(sec, "seed", default_seed)
         if seed is None:
             raise ScenarioValidationError("weights: random weights require a seed")
-        return random_unimodular_weights(config.num_elements, seed)
+        try:
+            return random_unimodular_weights(config.num_elements, seed)
+        except ValueError as exc:
+            raise ScenarioValidationError(f"weights: {exc}") from exc
     raise ScenarioParseError(f"weights: unknown type {kind!r}")
 
 
@@ -257,7 +258,175 @@ def _parse_waveforms(parser: configparser.ConfigParser, config: ArrayConfig) -> 
     raise ScenarioParseError(f"waveforms: unknown kind {kind!r}")
 
 
-def _parse_segments(sec: configparser.SectionProxy, config: ArrayConfig) -> list:
+def _write_grid(grid, out: Path, stem: str, formats) -> list[Path]:
+    written = []
+    if "csv" in formats:
+        path = out / f"{stem}.csv"
+        grid_to_csv(grid, path)
+        written.append(path)
+    if "binary" in formats:
+        path = out / f"{stem}.bin"
+        grid_to_binary(grid, path)
+        written.append(path)
+    return written
+
+
+def _write_columns(path: Path, header: str, *columns) -> Path:
+    "CSV of equal-length numeric columns, every cell formatted %.10g."
+    rows = (",".join(f"{v:.10g}" for v in row) for row in zip(*columns))
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return path
+
+
+# Evaluation sections: a parser (section, scenario so far) -> params, called at
+# load time, and a runner (scenario, params, out) -> written paths. Both look
+# the engine functions up as module globals at call time, so that wrappers set
+# on this module's attributes (timing instrumentation) see every call.
+
+def _parse_fitb_grid(sec: configparser.SectionProxy, sc: Scenario) -> dict:
+    engine = sec.get("engine", "exact").strip().lower().replace("-", "_")
+    if engine not in ("exact", "closed_form"):
+        raise ScenarioParseError(f"fitb_grid: unknown engine {engine!r}")
+    if engine == "closed_form" and not isinstance(sc.plan, UniformPlan):
+        raise ScenarioValidationError("fitb_grid: the closed-form engine needs a uniform plan")
+    return {
+        "n_time": _samples(sec, "time_samples", 512),
+        "n_theta": _samples(sec, "angle_samples", 1024),
+        "engine": engine,
+        "trajectory": _get(sec, "trajectory", False, "boolean"),
+    }
+
+
+def _run_fitb_grid(sc: Scenario, params: dict, out: Path) -> list[Path]:
+    grid = sweep_grid(sc.config, sc.plan, sc.weights, sc.waveforms,
+                      n_time=params["n_time"], n_theta=params["n_theta"],
+                      engine=params["engine"])
+    written = _write_grid(grid.to_db(), out, "fitb_grid_db", sc.formats)
+    written += _write_grid(grid, out, "fitb_grid", sc.formats)
+    if params["trajectory"]:
+        traj = measure_peak_trajectory(grid)
+        path = out / "trajectory.csv"
+        trajectory_to_csv(traj, path)
+        written.append(path)
+    return written
+
+
+def _parse_zero_time_cut(sec: configparser.SectionProxy, sc: Scenario) -> dict:
+    tokens = (_parse_list(sec.get("spacings", ""))
+              or [sec.parser["array"].get("spacing", "half-wavelength")])
+    return {
+        "n_theta": _samples(sec, "angle_samples", 4096),
+        "spacings": [_resolve_spacing(tok, asdict(sc.config), sc.plan, "zero_time_cut.spacings")
+                     for tok in tokens],
+        "tokens": tokens,
+    }
+
+
+def _run_zero_time_cut(sc: Scenario, params: dict, out: Path) -> list[Path]:
+    written = []
+    theta = theta_grid(params["n_theta"])
+    for token, spacing in zip(params["tokens"], params["spacings"]):
+        values = zero_time_cut(replace(sc.config, spacing=spacing), sc.plan.delta_f, theta)
+        tag = re.sub(r"[^a-z0-9]+", "_", token.strip().lower()).strip("_")
+        written.append(_write_columns(out / f"zero_time_cut_{tag}.csv", "theta_deg,value",
+                                      np.degrees(theta), values))
+    return written
+
+
+def _parse_legacy_grid(sec: configparser.SectionProxy, sc: Scenario) -> dict:
+    ranges = [parse_quantity(v, "legacy_grid.ranges") for v in _parse_list(sec.get("ranges", ""))]
+    if not ranges:
+        raise ScenarioParseError("legacy_grid: needs a ranges list")
+    return {
+        "ranges": ranges,
+        "n_time": _samples(sec, "time_samples", 256),
+        "n_theta": _samples(sec, "angle_samples", 1024),
+    }
+
+
+def _run_legacy_grid(sc: Scenario, params: dict, out: Path) -> list[Path]:
+    written = []
+    # matched absolute instants: shared axis anchored at the furthest range
+    r_ref = max(params["ranges"])
+    t_axis = r_ref / sc.config.wave_speed + np.linspace(0.0, sc.config.pulse_duration,
+                                                        params["n_time"])
+    # the retarded-time grid does not depend on range: one grid, written per range
+    fitb = sweep_grid(sc.config, sc.plan, sc.weights, sc.waveforms,
+                      n_time=params["n_time"], n_theta=params["n_theta"])
+    for r in params["ranges"]:
+        tag = f"{r / 1e3:g}km"
+        written += _write_grid(fitb, out, f"fitb_r{tag}", sc.formats)
+        legacy = legacy_grid(sc.config, sc.plan.delta_f, r, t_axis, params["n_theta"])
+        written += _write_grid(legacy, out, f"legacy_r{tag}", sc.formats)
+    return written
+
+
+def _parse_offsets(sec: configparser.SectionProxy, sc: Scenario) -> dict:
+    "The offsets list and angle count shared by [fgtb_curve] and [mimo_compare]."
+    return {
+        "offsets": [parse_quantity(v, f"{sec.name}.offsets")
+                    for v in _parse_list(sec.get("offsets", "0"))],
+        "n_theta": _samples(sec, "angle_samples", 721),
+    }
+
+
+def _parse_fgtb_curve(sec: configparser.SectionProxy, sc: Scenario) -> dict:
+    return {**_parse_offsets(sec, sc),
+            "covariance_csv": _get(sec, "covariance_csv", False, "boolean")}
+
+
+def _run_fgtb_curve(sc: Scenario, params: dict, out: Path) -> list[Path]:
+    written = []
+    theta = theta_grid(params["n_theta"])
+    for off in params["offsets"]:
+        plan = UniformPlan(off)
+        n_q = default_quadrature_samples(sc.config, sc.waveforms, plan)
+        r = covariance(sc.waveforms, plan, "fda", n_q, num_elements=sc.config.num_elements)
+        values = fgtb(r, sc.config, plan, sc.weights, theta)
+        tag = f"{off / 1e3:g}kHz"
+        path = out / f"fgtb_df{tag}.csv"
+        curve_to_csv(theta, values, path, db=True)
+        written.append(path)
+        if params["covariance_csv"]:
+            cpath = out / f"covariance_df{tag}.csv"
+            covariance_to_csv(r, cpath)
+            written.append(cpath)
+    return written
+
+
+def _run_mimo_compare(sc: Scenario, params: dict, out: Path) -> list[Path]:
+    written = []
+    theta = theta_grid(params["n_theta"])
+    report_lines = []
+    for off in params["offsets"]:
+        cmp = compare_fgtb_mimo(sc.config, UniformPlan(off), sc.waveforms, sc.weights, theta)
+        written.append(_write_columns(out / f"mimo_compare_df{off / 1e3:g}kHz.csv",
+                                      "theta_deg,fgtb_norm,mimo_norm", np.degrees(theta),
+                                      cmp.fgtb_normalized, cmp.mimo_normalized))
+        status = "ok" if cmp.max_deviation < 0.05 else "DISCREPANCY"
+        report_lines.append(
+            f"offset_hz = {off:.10g} : max_deviation = {cmp.max_deviation:.6e} ({status}), "
+            f"fgtb_peak = {cmp.fgtb_peak:.6e}, mimo_peak = {cmp.mimo_peak:.6e}"
+        )
+    path = out / "mimo_compare_report.txt"
+    path.write_text("\n".join(report_lines) + "\n")
+    written.append(path)
+    return written
+
+
+def _parse_scan_report(sec: configparser.SectionProxy, sc: Scenario) -> dict:
+    return {"t_eval": parse_quantity(sec.get("time", "0"), "scan_report.time"),
+            "k": _get(sec, "k", 0)}
+
+
+def _run_scan_report(sc: Scenario, params: dict, out: Path) -> list[Path]:
+    report = build_scan_report(sc.config, sc.plan.delta_f, params["t_eval"], params["k"])
+    path = out / "scan_report.txt"
+    scan_report_to_text(report, path)
+    return [path]
+
+
+def _parse_segments(sec: configparser.SectionProxy) -> list:
     segments = []
     for key in sorted(k for k in sec.keys() if k.startswith("segment")):
         parts = _parse_list(sec[key])
@@ -274,6 +443,60 @@ def _parse_segments(sec: configparser.SectionProxy, config: ArrayConfig) -> list
     return segments
 
 
+def _parse_schedule(sec: configparser.SectionProxy, sc: Scenario) -> dict:
+    segments = _parse_segments(sec)
+    n_time = _samples(sec, "time_samples", 512)
+    n_theta = _samples(sec, "angle_samples", 1024)
+    try:
+        schedule = design_phase_schedule(sc.config, sc.plan.delta_f, segments, n_time)
+    except ValueError as exc:
+        raise ScenarioValidationError(f"schedule: {exc}") from exc
+    return {"schedule": schedule, "n_theta": n_theta}
+
+
+def _run_schedule(sc: Scenario, params: dict, out: Path) -> list[Path]:
+    schedule = params["schedule"]
+    grid = schedule_playback_grid(sc.config, sc.plan.delta_f, schedule,
+                                  sc.waveforms[0], sc.weights, params["n_theta"])
+    written = _write_grid(grid, out, "schedule_grid", sc.formats)
+    traj = measure_peak_trajectory(grid)
+    tpath = out / "schedule_trajectory.csv"
+    trajectory_to_csv(traj, tpath)
+    written.append(tpath)
+    written.append(_write_columns(out / "schedule_phase.csv", "t_us,phi_cycles,target_theta_deg",
+                                  schedule.t_grid * 1e6, schedule.phi,
+                                  np.degrees(schedule.target_theta)))
+    return written
+
+
+@dataclass(frozen=True)
+class _Section:
+    "One evaluation section: the keys it reads, its parser and runner, and its plan needs."
+
+    keys: tuple[str, ...]  # a trailing N stands for any decimal number
+    parse: Callable[[configparser.SectionProxy, Scenario], dict]
+    run: Callable[[Scenario, dict, Path], list[Path]]
+    uniform: bool = False  # needs a uniform-offset plan
+
+
+# in evaluation order
+_SECTIONS: dict[str, _Section] = {
+    "fitb_grid": _Section(("time_samples", "angle_samples", "engine", "trajectory"),
+                          _parse_fitb_grid, _run_fitb_grid),
+    "zero_time_cut": _Section(("angle_samples", "spacings"),
+                              _parse_zero_time_cut, _run_zero_time_cut, uniform=True),
+    "legacy_grid": _Section(("ranges", "time_samples", "angle_samples"),
+                            _parse_legacy_grid, _run_legacy_grid, uniform=True),
+    "fgtb_curve": _Section(("offsets", "angle_samples", "covariance_csv"),
+                           _parse_fgtb_curve, _run_fgtb_curve),
+    "mimo_compare": _Section(("offsets", "angle_samples"), _parse_offsets, _run_mimo_compare),
+    "scan_report": _Section(("time", "k"), _parse_scan_report, _run_scan_report, uniform=True),
+    "schedule": _Section(("segmentN", "time_samples", "angle_samples"),
+                         _parse_schedule, _run_schedule, uniform=True),
+}
+_SETUP_SECTIONS = ("scenario", "array", "plan", "weights", "waveforms", "outputs")
+
+
 def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     "Parse and semantically validate a scenario file body."
     parser = configparser.ConfigParser()
@@ -283,15 +506,14 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
         raise ScenarioParseError(f"not a scenario file: {exc}") from exc
 
     if parser.has_section("scenario") and parser["scenario"].get("preset"):
-        base_name = parser["scenario"]["preset"].strip()
-        try:
-            base_text = presets_mod.preset_text(base_name)
-        except KeyError as exc:
-            raise ScenarioValidationError(str(exc)) from exc
+        base_text = _preset_text(parser["scenario"]["preset"].strip())
         parser = configparser.ConfigParser()
         parser.read_string(base_text)
         parser.read_string(text)
 
+    for section in parser.sections():
+        if section not in _SECTIONS and section not in _SETUP_SECTIONS:
+            raise ScenarioParseError(f"unknown section [{section}]")
     if not parser.has_section("array"):
         raise ScenarioParseError("missing required [array] section")
     arr = parser["array"]
@@ -322,71 +544,6 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     weights = _parse_weights(parser, config, plan, seed)
     waveforms = _parse_waveforms(parser, config)
 
-    evaluations = []
-    for section in _EVAL_SECTIONS:
-        if not parser.has_section(section):
-            continue
-        sec = parser[section]
-        if section == "fitb_grid":
-            engine = sec.get("engine", "exact").strip().lower().replace("-", "_")
-            if engine not in ("exact", "closed_form"):
-                raise ScenarioParseError(f"fitb_grid: unknown engine {engine!r}")
-            evaluations.append((section, {
-                "n_time": _samples(sec, "time_samples", 512),
-                "n_theta": _samples(sec, "angle_samples", 1024),
-                "engine": engine,
-                "trajectory": _get(sec, "trajectory", False, "boolean"),
-            }))
-        elif section == "zero_time_cut":
-            tokens = _parse_list(sec.get("spacings", "")) or [arr.get("spacing", "half-wavelength")]
-            spacings = [_resolve_spacing(tok, config_dict, plan, "zero_time_cut.spacings")
-                        for tok in tokens]
-            evaluations.append((section, {
-                "n_theta": _samples(sec, "angle_samples", 4096),
-                "spacings": spacings,
-                "tokens": tokens,
-            }))
-        elif section == "legacy_grid":
-            ranges = [parse_quantity(v, "legacy_grid.ranges")
-                      for v in _parse_list(sec.get("ranges", ""))]
-            if not ranges:
-                raise ScenarioParseError("legacy_grid: needs a ranges list")
-            evaluations.append((section, {
-                "ranges": ranges,
-                "n_time": _samples(sec, "time_samples", 256),
-                "n_theta": _samples(sec, "angle_samples", 1024),
-            }))
-        elif section == "fgtb_curve":
-            offsets = [parse_quantity(v, "fgtb_curve.offsets")
-                       for v in _parse_list(sec.get("offsets", "0"))]
-            evaluations.append((section, {
-                "offsets": offsets,
-                "n_theta": _samples(sec, "angle_samples", 721),
-                "covariance_csv": _get(sec, "covariance_csv", False, "boolean"),
-            }))
-        elif section == "mimo_compare":
-            offsets = [parse_quantity(v, "mimo_compare.offsets")
-                       for v in _parse_list(sec.get("offsets", "0"))]
-            evaluations.append((section, {
-                "offsets": offsets,
-                "n_theta": _samples(sec, "angle_samples", 721),
-            }))
-        elif section == "scan_report":
-            evaluations.append((section, {
-                "t_eval": parse_quantity(sec.get("time", "0"), "scan_report.time"),
-                "k": _get(sec, "k", 0),
-            }))
-        elif section == "schedule":
-            segments = _parse_segments(sec, config)
-            evaluations.append((section, {
-                "segments": segments,
-                "n_time": _samples(sec, "time_samples", 512),
-                "n_theta": _samples(sec, "angle_samples", 1024),
-            }))
-    if not evaluations:
-        raise ScenarioParseError("scenario requests no evaluations "
-                                 f"(add one of {', '.join(_EVAL_SECTIONS)})")
-
     formats = ("csv",)
     out_dir = "out"
     if parser.has_section("outputs"):
@@ -400,162 +557,22 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     if base_dir is not None and not os.path.isabs(out_dir):
         out_dir = str(base_dir / out_dir)
 
-    return Scenario(name=name, config=config, plan=plan, weights=weights,
-                    waveforms=waveforms, evaluations=evaluations,
-                    formats=formats, out_dir=out_dir, seed=seed)
-
-
-def _write_grid(grid, out: Path, stem: str, formats) -> list[Path]:
-    written = []
-    if "csv" in formats:
-        path = out / f"{stem}.csv"
-        grid_to_csv(grid, path)
-        written.append(path)
-    if "binary" in formats:
-        path = out / f"{stem}.bin"
-        grid_to_binary(grid, path)
-        written.append(path)
-    return written
-
-
-def _run_fitb_grid(sc: Scenario, params: dict, out: Path) -> list[Path]:
-    grid = sweep_grid(sc.config, sc.plan, sc.weights, sc.waveforms,
-                      n_time=params["n_time"], n_theta=params["n_theta"],
-                      engine=params["engine"])
-    written = _write_grid(grid.to_db(), out, "fitb_grid_db", sc.formats)
-    written += _write_grid(grid, out, "fitb_grid", sc.formats)
-    if params["trajectory"]:
-        traj = measure_peak_trajectory(grid)
-        path = out / "trajectory.csv"
-        trajectory_to_csv(traj, path)
-        written.append(path)
-    return written
-
-
-def _run_zero_time_cut(sc: Scenario, params: dict, out: Path) -> list[Path]:
-    if not isinstance(sc.plan, UniformPlan):
-        raise ScenarioValidationError("zero_time_cut: requires a uniform plan")
-    written = []
-    theta = theta_grid(params["n_theta"])
-    delta_f = sc.plan.delta_f
-    for token, spacing in zip(params["tokens"], params["spacings"]):
-        cfg = replace(sc.config, spacing=spacing)
-        values = zero_time_cut(cfg, delta_f, theta)
-        tag = re.sub(r"[^a-z0-9]+", "_", token.strip().lower()).strip("_")
-        path = out / f"zero_time_cut_{tag}.csv"
-        lines = ["theta_deg,value"]
-        for th, v in zip(np.degrees(theta), values):
-            lines.append(f"{th:.10g},{v:.10g}")
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
-    return written
-
-
-def _run_legacy_grid(sc: Scenario, params: dict, out: Path) -> list[Path]:
-    if not isinstance(sc.plan, UniformPlan):
-        raise ScenarioValidationError("legacy_grid: requires a uniform plan")
-    written = []
-    delta_f = sc.plan.delta_f
-    c = sc.config.wave_speed
-    # matched absolute instants: shared axis anchored at the furthest range
-    r_ref = max(params["ranges"])
-    t_axis = r_ref / c + np.linspace(0.0, sc.config.pulse_duration, params["n_time"])
-    # the retarded-time grid does not depend on range: one grid, written per range
-    fitb = sweep_grid(sc.config, sc.plan, sc.weights, sc.waveforms,
-                      n_time=params["n_time"], n_theta=params["n_theta"])
-    for r in params["ranges"]:
-        tag = f"{r / 1e3:g}km"
-        written += _write_grid(fitb, out, f"fitb_r{tag}", sc.formats)
-        legacy = legacy_grid(sc.config, delta_f, r, t_axis, params["n_theta"])
-        written += _write_grid(legacy, out, f"legacy_r{tag}", sc.formats)
-    return written
-
-
-def _run_fgtb_curve(sc: Scenario, params: dict, out: Path) -> list[Path]:
-    written = []
-    theta = theta_grid(params["n_theta"])
-    for off in params["offsets"]:
-        plan = UniformPlan(off)
-        n_q = default_quadrature_samples(sc.config, sc.waveforms, plan)
-        r = covariance(sc.waveforms, plan, "fda", n_q, num_elements=sc.config.num_elements)
-        values = fgtb(r, sc.config, plan, sc.weights, theta)
-        tag = f"{off / 1e3:g}kHz"
-        path = out / f"fgtb_df{tag}.csv"
-        curve_to_csv(theta, values, path, db=True)
-        written.append(path)
-        if params["covariance_csv"]:
-            cpath = out / f"covariance_df{tag}.csv"
-            covariance_to_csv(r, cpath)
-            written.append(cpath)
-    return written
-
-
-def _run_mimo_compare(sc: Scenario, params: dict, out: Path) -> list[Path]:
-    written = []
-    theta = theta_grid(params["n_theta"])
-    report_lines = []
-    for off in params["offsets"]:
-        cmp = compare_fgtb_mimo(sc.config, UniformPlan(off), sc.waveforms, sc.weights, theta)
-        tag = f"{off / 1e3:g}kHz"
-        path = out / f"mimo_compare_df{tag}.csv"
-        lines = ["theta_deg,fgtb_norm,mimo_norm"]
-        for th, a, b in zip(np.degrees(theta), cmp.fgtb_normalized, cmp.mimo_normalized):
-            lines.append(f"{th:.10g},{a:.10g},{b:.10g}")
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
-        status = "ok" if cmp.max_deviation < 0.05 else "DISCREPANCY"
-        report_lines.append(
-            f"offset_hz = {off:.10g} : max_deviation = {cmp.max_deviation:.6e} ({status}), "
-            f"fgtb_peak = {cmp.fgtb_peak:.6e}, mimo_peak = {cmp.mimo_peak:.6e}"
-        )
-    path = out / "mimo_compare_report.txt"
-    path.write_text("\n".join(report_lines) + "\n")
-    written.append(path)
-    return written
-
-
-def _run_scan_report(sc: Scenario, params: dict, out: Path) -> list[Path]:
-    if not isinstance(sc.plan, UniformPlan):
-        raise ScenarioValidationError("scan_report: requires a uniform plan")
-    report = build_scan_report(sc.config, sc.plan.delta_f, params["t_eval"], params["k"])
-    path = out / "scan_report.txt"
-    scan_report_to_text(report, path)
-    return [path]
-
-
-def _run_schedule(sc: Scenario, params: dict, out: Path) -> list[Path]:
-    if not isinstance(sc.plan, UniformPlan):
-        raise ScenarioValidationError("schedule: requires a uniform plan")
-    try:
-        schedule = design_phase_schedule(sc.config, sc.plan.delta_f,
-                                         params["segments"], params["n_time"])
-    except ValueError as exc:
-        raise ScenarioValidationError(f"schedule: {exc}") from exc
-    grid = schedule_playback_grid(sc.config, sc.plan.delta_f, schedule,
-                                  sc.waveforms[0], sc.weights, params["n_theta"])
-    written = _write_grid(grid, out, "schedule_grid", sc.formats)
-    traj = measure_peak_trajectory(grid)
-    tpath = out / "schedule_trajectory.csv"
-    trajectory_to_csv(traj, tpath)
-    written.append(tpath)
-    ppath = out / "schedule_phase.csv"
-    lines = ["t_us,phi_cycles,target_theta_deg"]
-    for t, phi, th in zip(schedule.t_grid, schedule.phi, schedule.target_theta):
-        lines.append(f"{t * 1e6:.10g},{phi:.10g},{np.degrees(th):.10g}")
-    ppath.write_text("\n".join(lines) + "\n")
-    written.append(ppath)
-    return written
-
-
-_RUNNERS: dict[str, Callable] = {
-    "fitb_grid": _run_fitb_grid,
-    "zero_time_cut": _run_zero_time_cut,
-    "legacy_grid": _run_legacy_grid,
-    "fgtb_curve": _run_fgtb_curve,
-    "mimo_compare": _run_mimo_compare,
-    "scan_report": _run_scan_report,
-    "schedule": _run_schedule,
-}
+    sc = Scenario(name=name, config=config, plan=plan, weights=weights,
+                  waveforms=waveforms, formats=formats, out_dir=out_dir)
+    for kind, spec in _SECTIONS.items():
+        if not parser.has_section(kind):
+            continue
+        sec = parser[kind]
+        for key in sec:
+            if re.sub(r"\d+$", "N", key) not in spec.keys:
+                raise ScenarioParseError(f"{kind}: unknown key {key!r}")
+        if spec.uniform and not isinstance(plan, UniformPlan):
+            raise ScenarioValidationError(f"{kind}: requires a uniform plan")
+        sc.evaluations.append((kind, spec.parse(sec, sc)))
+    if not sc.evaluations:
+        raise ScenarioParseError("scenario requests no evaluations "
+                                 f"(add one of {', '.join(_SECTIONS)})")
+    return sc
 
 
 def execute_scenario(sc: Scenario, out_dir: str | Path | None = None) -> Path:
@@ -571,7 +588,7 @@ def execute_scenario(sc: Scenario, out_dir: str | Path | None = None) -> Path:
 
     written: list[Path] = []
     for kind, params in sc.evaluations:
-        written.extend(_RUNNERS[kind](sc, params, out))
+        written.extend(_SECTIONS[kind].run(sc, params, out))
 
     manifest = {
         "scenario": sc.name,
@@ -583,23 +600,20 @@ def execute_scenario(sc: Scenario, out_dir: str | Path | None = None) -> Path:
     return out
 
 
-def run_file(path: str | Path, out_dir: str | None = None) -> int:
-    "Load, validate, and execute a scenario file; returns the process exit code."
-    path = Path(path)
+def _load_checked(source: str, read: Callable[[], str],
+                  base_dir: Path | None = None) -> Scenario | int:
+    "The scenario read() returns, or the exit code after a one-line report of why it failed."
     try:
-        text = path.read_text()
+        return load_scenario(read(), base_dir=base_dir)
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        print(f"error: cannot read {source}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        sc = load_scenario(text, base_dir=path.parent)
     except ScenarioParseError as exc:
-        print(f"parse error in {path}: {exc}", file=sys.stderr)
+        print(f"parse error in {source}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ScenarioValidationError as exc:
-        print(f"validation error in {path}: {exc}", file=sys.stderr)
+        print(f"validation error in {source}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    return _execute_checked(sc, out_dir, label=str(path))
 
 
 def _execute_checked(sc: Scenario, out_dir: str | None, label: str) -> int:
@@ -638,49 +652,29 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "run":
-        return run_file(args.file, args.out)
-
-    if args.command == "preset":
-        try:
-            text = presets_mod.preset_text(args.name)
-        except KeyError as exc:
-            print(f"validation error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        if args.show:
-            print(text, end="")
-            return 0
-        try:
-            sc = load_scenario(text)
-        except (ScenarioParseError, ScenarioValidationError) as exc:
-            print(f"internal preset error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        out_dir = args.out or os.path.join("out", args.name)
-        return _execute_checked(sc, out_dir, label=f"preset {args.name}")
-
     if args.command == "list-presets":
         for name, desc in presets_mod.preset_descriptions():
             print(f"{name:10s} {desc}")
         return 0
 
+    if args.command == "preset":
+        source = f"preset {args.name}"
+        sc = _load_checked(source, lambda: _preset_text(args.name))
+        if isinstance(sc, int):
+            return sc
+        if args.show:
+            print(_preset_text(args.name), end="")
+            return 0
+        return _execute_checked(sc, args.out or os.path.join("out", args.name), label=source)
+
+    path = Path(args.file)
+    sc = _load_checked(str(path), path.read_text, base_dir=path.parent)
+    if isinstance(sc, int):
+        return sc
     if args.command == "validate":
-        path = Path(args.file)
-        try:
-            load_scenario(path.read_text(), base_dir=path.parent)
-        except OSError as exc:
-            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        except ScenarioParseError as exc:
-            print(f"parse error in {path}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        except ScenarioValidationError as exc:
-            print(f"validation error in {path}: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
         print(f"{path}: ok")
         return 0
-
-    return 0
-
+    return _execute_checked(sc, args.out, label=str(path))
 
 if __name__ == "__main__":
     sys.exit(main())

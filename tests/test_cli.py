@@ -202,7 +202,10 @@ class TestMainVerbs:
         ("[scan_report]\n", "[scan_report]\nk = 1.5\n"),
         ("[scan_report]", "[waveforms]\nkind = chirp-bank\nbase_rate = x\n\n[scan_report]"),
         ("time = 1 us", "time = 1e us"),
-    ], ids=["getint", "getboolean", "getint-float", "getfloat", "quantity"])
+        ("time_samples = 16", "time_samples = 16\ntime_sample = 4"),
+        ("[scan_report]", "[fitb_grids]\ntime_samples = 4\n\n[scan_report]"),
+    ], ids=["getint", "getboolean", "getint-float", "getfloat", "quantity", "unknown-key",
+            "unknown-section"])
     def test_unparseable_value_exit_2(self, tmp_path, capsys, verb, old, new):
         path = tmp_path / "s.ini"
         path.write_text(SMALL_SCENARIO.replace(old, new))
@@ -222,6 +225,32 @@ class TestMainVerbs:
         path.write_text(text)
         assert cli.main([verb, str(path)]) == cli.EXIT_VALIDATION
         assert "need at least 2 samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("body, expected", [
+        ("[plan]\ntype = tabulated\noffsets = 0, 1, 2, 3, 4, 5, 6, 7 kHz\n[scan_report]\n",
+         "scan_report: requires a uniform plan"),
+        ("[plan]\ntype = coded\ncoding = costas\noffset = 5 kHz\n[zero_time_cut]\n",
+         "zero_time_cut: requires a uniform plan"),
+        ("[plan]\ntype = time-modulated\nrate = 50 kHz\n[legacy_grid]\nranges = 18 km\n",
+         "legacy_grid: requires a uniform plan"),
+        ("[plan]\ntype = tabulated\noffsets = 0, 1, 2, 3, 4, 5, 6, 7 kHz\n"
+         "[schedule]\nsegment1 = 0 us, 2 us, 0, 10\n", "schedule: requires a uniform plan"),
+        ("[plan]\noffset = 100 kHz\n[schedule]\nsegment1 = 0 us, 9 us, 0, 10\n",
+         "schedule: segment times"),
+        ("[weights]\ntype = random\nseed = -1\n[scan_report]\n", "weights: "),
+        ("[plan]\ntype = coded\ncoding = square\noffset = 1 kHz\n"
+         "[fitb_grid]\nengine = closed-form\n", "closed-form engine needs a uniform plan"),
+    ], ids=["tabulated-scan-report", "coded-zero-time-cut", "time-modulated-legacy-grid",
+            "tabulated-schedule", "segment-beyond-pulse", "negative-weight-seed",
+            "coded-closed-form"])
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, verb, body, expected):
+        path = tmp_path / "s.ini"
+        path.write_text("[array]\nelements = 8\ncarrier = 10 GHz\npulse = 5 us\n" + body)
+        assert cli.main([verb, str(path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("validation error") and expected in err
 
     def test_every_preset_validates(self):
         for name, (_, text) in PRESETS.items():
