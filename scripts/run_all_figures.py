@@ -22,8 +22,8 @@ def main() -> int:
     failures = 0
     for name, desc in presets.preset_descriptions():
         start = time.perf_counter()
-        sc = cli.load_scenario(presets.preset_text(name))
         try:
+            sc = cli.load_scenario(presets.preset_text(name))
             cli.execute_scenario(sc, root / name)
         except Exception as exc:  # keep going; report at the end
             print(f"{name:8s} FAILED: {exc}", file=sys.stderr)

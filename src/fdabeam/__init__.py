@@ -52,7 +52,6 @@ from .scan_analytics import (
     scan_speed,
     scan_volume,
     schedule_playback_grid,
-    select_grating_index,
     unwrap_sine_track,
 )
 from .beampattern_integral import (

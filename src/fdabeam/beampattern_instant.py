@@ -255,19 +255,36 @@ def legacy_grid(config: ArrayConfig, delta_f: float, r: float,
     return BeampatternGrid(t_axis, th_axis, values, "linear-magnitude")
 
 
-def grid_to_csv(grid: BeampatternGrid, path: str | Path) -> None:
+def _row_format(n: int) -> str:
+    "printf format of one CSV row of n numbers; every artifact cell is %.10g."
+    return ",".join(["%.10g"] * n)
+
+
+def write_csv(path: str | Path, header: str | None, *columns) -> Path:
+    """Write 1-D columns and 2-D blocks side by side as CSV; returns the path.
+
+    The header line is written when given; the file ends with a newline.
+    """
+    path = Path(path)
+    table = np.column_stack(columns)
+    fmt = _row_format(table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        # row by row: a whole-table tolist() holds every cell as a Python float
+        fh.writelines(fmt % tuple(row.tolist()) for row in table)
+    return path
+
+
+def grid_to_csv(grid: BeampatternGrid, path: str | Path) -> Path:
     """Write a grid as CSV: header row of theta in degrees, first column t in us.
 
     Cell values are dB or linear magnitudes according to the grid's
     normalization tag.
     """
-    path = Path(path)
     theta_deg = np.degrees(grid.theta_axis)
-    lines = ["t_us," + ",".join(f"{v:.10g}" for v in theta_deg)]
-    for i, t in enumerate(grid.t_axis):
-        row = ",".join(f"{v:.10g}" for v in grid.values[i])
-        lines.append(f"{t * 1e6:.10g},{row}")
-    path.write_text("\n".join(lines) + "\n")
+    header = "t_us," + _row_format(theta_deg.size) % tuple(theta_deg.tolist())
+    return write_csv(path, header, grid.t_axis * 1e6, grid.values)
 
 
 def grid_from_csv(path: str | Path, normalization: str = "linear-magnitude") -> BeampatternGrid:

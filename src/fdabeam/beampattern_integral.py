@@ -26,6 +26,7 @@ from .array_model import (
     plan_offsets,
     steering_angle,
 )
+from .beampattern_instant import write_csv
 from .waveform import BasebandWaveform, with_freq_offset
 
 HERMITIAN_TOL = 1e-10
@@ -263,33 +264,19 @@ def compare_fgtb_mimo(config: ArrayConfig, plan: UniformPlan,
 
 
 def curve_to_csv(theta: np.ndarray, values: np.ndarray, path: str | Path,
-                 db: bool = True) -> None:
+                 db: bool = True) -> Path:
     """Two-column CSV (theta_deg, value_dB) of a power-like azimuth curve.
 
     Values are 10*log10 relative to the curve peak when db is set, otherwise
     written as-is with a "value" header.
     """
-    theta_deg = np.degrees(np.asarray(theta, dtype=float))
     values = np.asarray(values, dtype=float)
     if db:
-        out = 10.0 * np.log10(values / values.max())
-        header = "theta_deg,value_db"
-    else:
-        out = values
-        header = "theta_deg,value"
-    lines = [header]
-    for th, v in zip(theta_deg, out):
-        lines.append(f"{th:.10g},{v:.10g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        values = 10.0 * np.log10(values / values.max())
+    return write_csv(path, "theta_deg,value_db" if db else "theta_deg,value",
+                     np.degrees(theta), values)
 
 
-def covariance_to_csv(r: CovarianceMatrix, path: str | Path) -> None:
+def covariance_to_csv(r: CovarianceMatrix, path: str | Path) -> Path:
     "CSV with interleaved real/imag parts: row m holds Re(R[m,0]), Im(R[m,0]), Re(R[m,1]), ..."
-    lines = []
-    for row in r.entries:
-        cells = []
-        for val in row:
-            cells.append(f"{val.real:.10g}")
-            cells.append(f"{val.imag:.10g}")
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return write_csv(path, None, np.ascontiguousarray(r.entries).view(float))

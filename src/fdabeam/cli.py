@@ -41,6 +41,7 @@ from .beampattern_instant import (
     legacy_grid,
     sweep_grid,
     theta_grid,
+    write_csv,
     zero_time_cut,
 )
 from .beampattern_integral import (
@@ -261,9 +262,7 @@ def _parse_waveforms(parser: configparser.ConfigParser, config: ArrayConfig) -> 
 def _write_grid(grid, out: Path, stem: str, formats) -> list[Path]:
     written = []
     if "csv" in formats:
-        path = out / f"{stem}.csv"
-        grid_to_csv(grid, path)
-        written.append(path)
+        written.append(grid_to_csv(grid, out / f"{stem}.csv"))
     if "binary" in formats:
         path = out / f"{stem}.bin"
         grid_to_binary(grid, path)
@@ -271,11 +270,15 @@ def _write_grid(grid, out: Path, stem: str, formats) -> list[Path]:
     return written
 
 
-def _write_columns(path: Path, header: str, *columns) -> Path:
-    "CSV of equal-length numeric columns, every cell formatted %.10g."
-    rows = (",".join(f"{v:.10g}" for v in row) for row in zip(*columns))
-    path.write_text("\n".join([header, *rows]) + "\n")
-    return path
+def _unique_tags(where: str, texts: list[str], tags: list[str], stem: str) -> list[str]:
+    "The artifact tags of a section's list values; two values sharing one would overwrite a file."
+    first: dict[str, str] = {}
+    for text, tag in zip(texts, tags):
+        if tag in first:
+            raise ScenarioValidationError(
+                f"{where}: {first[tag]!r} and {text!r} both write {stem.format(tag)}")
+        first[tag] = text
+    return tags
 
 
 # Evaluation sections: a parser (section, scenario so far) -> params, called at
@@ -304,10 +307,7 @@ def _run_fitb_grid(sc: Scenario, params: dict, out: Path) -> list[Path]:
     written = _write_grid(grid.to_db(), out, "fitb_grid_db", sc.formats)
     written += _write_grid(grid, out, "fitb_grid", sc.formats)
     if params["trajectory"]:
-        traj = measure_peak_trajectory(grid)
-        path = out / "trajectory.csv"
-        trajectory_to_csv(traj, path)
-        written.append(path)
+        written.append(trajectory_to_csv(measure_peak_trajectory(grid), out / "trajectory.csv"))
     return written
 
 
@@ -318,27 +318,32 @@ def _parse_zero_time_cut(sec: configparser.SectionProxy, sc: Scenario) -> dict:
         "n_theta": _samples(sec, "angle_samples", 4096),
         "spacings": [_resolve_spacing(tok, asdict(sc.config), sc.plan, "zero_time_cut.spacings")
                      for tok in tokens],
-        "tokens": tokens,
+        "tags": _unique_tags(
+            "zero_time_cut.spacings", tokens,
+            [re.sub(r"[^a-z0-9]+", "_", tok.lower()).strip("_") for tok in tokens],
+            "zero_time_cut_{}.csv"),
     }
 
 
 def _run_zero_time_cut(sc: Scenario, params: dict, out: Path) -> list[Path]:
     written = []
     theta = theta_grid(params["n_theta"])
-    for token, spacing in zip(params["tokens"], params["spacings"]):
+    for tag, spacing in zip(params["tags"], params["spacings"]):
         values = zero_time_cut(replace(sc.config, spacing=spacing), sc.plan.delta_f, theta)
-        tag = re.sub(r"[^a-z0-9]+", "_", token.strip().lower()).strip("_")
-        written.append(_write_columns(out / f"zero_time_cut_{tag}.csv", "theta_deg,value",
-                                      np.degrees(theta), values))
+        written.append(write_csv(out / f"zero_time_cut_{tag}.csv", "theta_deg,value",
+                                 np.degrees(theta), values))
     return written
 
 
 def _parse_legacy_grid(sec: configparser.SectionProxy, sc: Scenario) -> dict:
-    ranges = [parse_quantity(v, "legacy_grid.ranges") for v in _parse_list(sec.get("ranges", ""))]
-    if not ranges:
+    texts = _parse_list(sec.get("ranges", ""))
+    if not texts:
         raise ScenarioParseError("legacy_grid: needs a ranges list")
+    ranges = [parse_quantity(v, "legacy_grid.ranges") for v in texts]
     return {
         "ranges": ranges,
+        "tags": _unique_tags("legacy_grid.ranges", texts, [f"{r / 1e3:g}km" for r in ranges],
+                             "legacy_r{}"),
         "n_time": _samples(sec, "time_samples", 256),
         "n_theta": _samples(sec, "angle_samples", 1024),
     }
@@ -353,8 +358,7 @@ def _run_legacy_grid(sc: Scenario, params: dict, out: Path) -> list[Path]:
     # the retarded-time grid does not depend on range: one grid, written per range
     fitb = sweep_grid(sc.config, sc.plan, sc.weights, sc.waveforms,
                       n_time=params["n_time"], n_theta=params["n_theta"])
-    for r in params["ranges"]:
-        tag = f"{r / 1e3:g}km"
+    for r, tag in zip(params["ranges"], params["tags"]):
         written += _write_grid(fitb, out, f"fitb_r{tag}", sc.formats)
         legacy = legacy_grid(sc.config, sc.plan.delta_f, r, t_axis, params["n_theta"])
         written += _write_grid(legacy, out, f"legacy_r{tag}", sc.formats)
@@ -362,10 +366,14 @@ def _run_legacy_grid(sc: Scenario, params: dict, out: Path) -> list[Path]:
 
 
 def _parse_offsets(sec: configparser.SectionProxy, sc: Scenario) -> dict:
-    "The offsets list and angle count shared by [fgtb_curve] and [mimo_compare]."
+    "The offsets list, their tags and the angle count shared by [fgtb_curve] and [mimo_compare]."
+    texts = _parse_list(sec.get("offsets", "0"))
+    offsets = [parse_quantity(v, f"{sec.name}.offsets") for v in texts]
+    stem = "fgtb_df{}.csv" if sec.name == "fgtb_curve" else "mimo_compare_df{}.csv"
     return {
-        "offsets": [parse_quantity(v, f"{sec.name}.offsets")
-                    for v in _parse_list(sec.get("offsets", "0"))],
+        "offsets": offsets,
+        "tags": _unique_tags(f"{sec.name}.offsets", texts, [f"{f / 1e3:g}kHz" for f in offsets],
+                             stem),
         "n_theta": _samples(sec, "angle_samples", 721),
     }
 
@@ -378,19 +386,14 @@ def _parse_fgtb_curve(sec: configparser.SectionProxy, sc: Scenario) -> dict:
 def _run_fgtb_curve(sc: Scenario, params: dict, out: Path) -> list[Path]:
     written = []
     theta = theta_grid(params["n_theta"])
-    for off in params["offsets"]:
+    for off, tag in zip(params["offsets"], params["tags"]):
         plan = UniformPlan(off)
         n_q = default_quadrature_samples(sc.config, sc.waveforms, plan)
         r = covariance(sc.waveforms, plan, "fda", n_q, num_elements=sc.config.num_elements)
         values = fgtb(r, sc.config, plan, sc.weights, theta)
-        tag = f"{off / 1e3:g}kHz"
-        path = out / f"fgtb_df{tag}.csv"
-        curve_to_csv(theta, values, path, db=True)
-        written.append(path)
+        written.append(curve_to_csv(theta, values, out / f"fgtb_df{tag}.csv", db=True))
         if params["covariance_csv"]:
-            cpath = out / f"covariance_df{tag}.csv"
-            covariance_to_csv(r, cpath)
-            written.append(cpath)
+            written.append(covariance_to_csv(r, out / f"covariance_df{tag}.csv"))
     return written
 
 
@@ -398,11 +401,11 @@ def _run_mimo_compare(sc: Scenario, params: dict, out: Path) -> list[Path]:
     written = []
     theta = theta_grid(params["n_theta"])
     report_lines = []
-    for off in params["offsets"]:
+    for off, tag in zip(params["offsets"], params["tags"]):
         cmp = compare_fgtb_mimo(sc.config, UniformPlan(off), sc.waveforms, sc.weights, theta)
-        written.append(_write_columns(out / f"mimo_compare_df{off / 1e3:g}kHz.csv",
-                                      "theta_deg,fgtb_norm,mimo_norm", np.degrees(theta),
-                                      cmp.fgtb_normalized, cmp.mimo_normalized))
+        written.append(write_csv(out / f"mimo_compare_df{tag}.csv",
+                                 "theta_deg,fgtb_norm,mimo_norm", np.degrees(theta),
+                                 cmp.fgtb_normalized, cmp.mimo_normalized))
         status = "ok" if cmp.max_deviation < 0.05 else "DISCREPANCY"
         report_lines.append(
             f"offset_hz = {off:.10g} : max_deviation = {cmp.max_deviation:.6e} ({status}), "
@@ -459,13 +462,11 @@ def _run_schedule(sc: Scenario, params: dict, out: Path) -> list[Path]:
     grid = schedule_playback_grid(sc.config, sc.plan.delta_f, schedule,
                                   sc.waveforms[0], sc.weights, params["n_theta"])
     written = _write_grid(grid, out, "schedule_grid", sc.formats)
-    traj = measure_peak_trajectory(grid)
-    tpath = out / "schedule_trajectory.csv"
-    trajectory_to_csv(traj, tpath)
-    written.append(tpath)
-    written.append(_write_columns(out / "schedule_phase.csv", "t_us,phi_cycles,target_theta_deg",
-                                  schedule.t_grid * 1e6, schedule.phi,
-                                  np.degrees(schedule.target_theta)))
+    written.append(trajectory_to_csv(measure_peak_trajectory(grid),
+                                     out / "schedule_trajectory.csv"))
+    written.append(write_csv(out / "schedule_phase.csv", "t_us,phi_cycles,target_theta_deg",
+                             schedule.t_grid * 1e6, schedule.phi,
+                             np.degrees(schedule.target_theta)))
     return written
 
 

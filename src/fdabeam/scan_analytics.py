@@ -22,7 +22,7 @@ from .array_model import (
     WeightVector,
     as_weight_array,
 )
-from .beampattern_instant import BeampatternGrid, exact_field_matrix, theta_grid
+from .beampattern_instant import BeampatternGrid, exact_field_matrix, theta_grid, write_csv
 from .waveform import BasebandWaveform
 
 ENDFIRE_GUARD = 1e-6
@@ -178,11 +178,6 @@ class PeakTrajectory:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def points(self) -> list[tuple[float, float]]:
-        "(t', theta_peak) for the unambiguous rows."
-        keep = ~self.ambiguous
-        return list(zip(self.t[keep].tolist(), self.theta[keep].tolist()))
-
 
 def measure_peak_trajectory(grid: BeampatternGrid,
                             peak_ref: float | None = None) -> PeakTrajectory:
@@ -246,13 +241,6 @@ def measured_scan_volume(traj: PeakTrajectory, pulse_duration: float) -> float:
         return 0.0
     slope = np.polyfit(t, s, 1)[0]
     return abs(slope) * pulse_duration
-
-
-def select_grating_index(config: ArrayConfig, delta_f: float, t_prime: float) -> int:
-    "The k whose predicted direction lies in the visible sector (smallest |asin| argument)."
-    # the asin argument is proportional to (k - delta_f*t'), so the nearest
-    # integer minimizes it regardless of the geometry factor
-    return int(round(delta_f * t_prime))
 
 
 @dataclass(frozen=True)
@@ -354,12 +342,10 @@ def schedule_playback_grid(config: ArrayConfig, delta_f: float,
     return BeampatternGrid(schedule.t_grid, th_axis, values, "linear-magnitude")
 
 
-def trajectory_to_csv(traj: PeakTrajectory, path: str | Path) -> None:
+def trajectory_to_csv(traj: PeakTrajectory, path: str | Path) -> Path:
     "Two-column CSV (t_us, theta_deg); ambiguous rows are skipped."
-    lines = ["t_us,theta_deg"]
-    for t, th in traj.points():
-        lines.append(f"{t * 1e6:.10g},{math.degrees(th):.10g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    keep = ~traj.ambiguous
+    return write_csv(path, "t_us,theta_deg", traj.t[keep] * 1e6, np.degrees(traj.theta[keep]))
 
 
 def scan_report_to_text(report: ScanReport, path: str | Path) -> None:

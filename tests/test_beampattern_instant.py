@@ -299,3 +299,32 @@ class TestBeampatternGrid:
         assert np.array_equal(back.values, grid.values)
         assert back.t_axis[0] == grid.t_axis[0]
         assert back.theta_axis[-1] == grid.theta_axis[-1]
+
+
+def test_csv_artifact_text(tmp_path):
+    "Exact text of every CSV writer: %.10g cells, one header line, trailing newline."
+    from fdabeam.beampattern_integral import covariance_to_csv, curve_to_csv
+    from fdabeam.scan_analytics import trajectory_to_csv
+
+    grid = fb.BeampatternGrid(np.array([0.0, 2.5e-6]), np.radians([-45.0, 0.0, 60.0]),
+                              np.array([[1 / 3, 1e-20, 12345678901.0], [-0.0, 0.5, 2.0]]))
+    theta = np.radians([-30.0, 0.0, 30.0])
+    values = np.array([0.5, 2.0, 1 / 3])
+    traj = fb.PeakTrajectory(t=np.array([0.0, 1e-6, 2e-6]), theta=np.radians([10.0, 20.0, -5.5]),
+                             ambiguous=np.array([False, True, False]))
+    cov = fb.CovarianceMatrix(np.array([[1.0, 0.25 + 1j / 3], [0.25 - 1j / 3, 1.0]]), "mimo", 8)
+    writers = {
+        "grid": (lambda p: grid_to_csv(grid, p),
+                 "t_us,-45,0,60\n0,0.3333333333,1e-20,1.23456789e+10\n2.5,-0,0.5,2\n"),
+        "curve_db": (lambda p: curve_to_csv(theta, values, p, db=True),
+                     "theta_deg,value_db\n-30,-6.020599913\n0,0\n30,-7.781512504\n"),
+        "curve": (lambda p: curve_to_csv(theta, values, p, db=False),
+                  "theta_deg,value\n-30,0.5\n0,2\n30,0.3333333333\n"),
+        "trajectory": (lambda p: trajectory_to_csv(traj, p), "t_us,theta_deg\n0,10\n2,-5.5\n"),
+        "covariance": (lambda p: covariance_to_csv(cov, p),
+                       "1,0,0.25,0.3333333333\n0.25,-0.3333333333,1,0\n"),
+    }
+    for name, (write, expected) in writers.items():
+        path = tmp_path / f"{name}.csv"
+        write(path)
+        assert path.read_text() == expected, name

@@ -241,9 +241,18 @@ class TestMainVerbs:
         ("[weights]\ntype = random\nseed = -1\n[scan_report]\n", "weights: "),
         ("[plan]\ntype = coded\ncoding = square\noffset = 1 kHz\n"
          "[fitb_grid]\nengine = closed-form\n", "closed-form engine needs a uniform plan"),
+        ("[fgtb_curve]\noffsets = 1 MHz, 1.0000001 MHz\n",
+         "'1 MHz' and '1.0000001 MHz' both write fgtb_df1000kHz.csv"),
+        ("[mimo_compare]\noffsets = 5 MHz, 5000 kHz\n",
+         "'5 MHz' and '5000 kHz' both write mimo_compare_df5000kHz.csv"),
+        ("[legacy_grid]\nranges = 18 km, 18.0000001 km\n",
+         "'18 km' and '18.0000001 km' both write legacy_r18km"),
+        ("[zero_time_cut]\nspacings = 2 cm, 2 CM\n",
+         "'2 cm' and '2 CM' both write zero_time_cut_2_cm.csv"),
     ], ids=["tabulated-scan-report", "coded-zero-time-cut", "time-modulated-legacy-grid",
             "tabulated-schedule", "segment-beyond-pulse", "negative-weight-seed",
-            "coded-closed-form"])
+            "coded-closed-form", "fgtb-offset-collision", "mimo-offset-collision",
+            "legacy-range-collision", "spacing-collision"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, verb, body, expected):
         path = tmp_path / "s.ini"
         path.write_text("[array]\nelements = 8\ncarrier = 10 GHz\npulse = 5 us\n" + body)

@@ -49,7 +49,7 @@ class TestPredictPeakDirection:
     def test_grating_index_selection(self):
         cfg = make_config(400e3)
         for t in np.linspace(0, 5e-6, 23):
-            k = fb.select_grating_index(cfg, 400e3, t)
+            k = round(400e3 * t)
             assert fb.predict_peak_direction(cfg, 400e3, t, k) is not None
 
 
@@ -191,7 +191,7 @@ class TestTrajectory:
         for t, theta, amb in zip(traj.t, traj.theta, traj.ambiguous):
             if amb:
                 continue
-            k = fb.select_grating_index(cfg, delta_f, t)
+            k = round(delta_f * t)
             pred = fb.predict_peak_direction(cfg, delta_f, t, k)
             if pred is None:
                 continue
