@@ -117,8 +117,14 @@ class TimeModulatedPlan:
     def __post_init__(self):
         if self.form not in _TM_FORMS and self.form != "table":
             raise ValueError(f"unknown time-modulated form {self.form!r}")
-        if self.form == "table" and (self.table_t is None or self.table_chi is None):
-            raise ValueError("form='table' requires table_t and table_chi")
+        if self.form == "table":
+            if self.table_t is None or self.table_chi is None:
+                raise ValueError("form='table' requires table_t and table_chi")
+            if np.any(np.diff(self.table_t) <= 0):
+                raise ValueError("table_t must be strictly increasing")
+            if any(len(row) != len(self.table_t) for row in self.table_chi):
+                raise ValueError(f"every table_chi row needs {len(self.table_t)} samples, "
+                                 "one per table_t entry")
 
     def chi(self, m: int, tau) -> np.ndarray:
         "Instantaneous frequency offset of element m at local time tau (Hz)."

@@ -17,6 +17,7 @@ values are field magnitudes up to a positive constant.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,6 +44,9 @@ DB_FLOOR = -60.0
 "Export floor for dB-scaled grids."
 
 GRID_MAGIC = b"FDABGRID"
+
+BLOCK_CELLS = 1 << 15
+"Cells per row block of the time-modulated element sum (32 rows at 1024 angles)."
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +113,53 @@ def _waveform_list(waveforms, num_elements: int) -> list[BasebandWaveform]:
     return wl
 
 
+def _time_modulated_field(config: ArrayConfig, plan: TimeModulatedPlan, columns: np.ndarray,
+                          t_prime: np.ndarray, delay: np.ndarray) -> np.ndarray:
+    """Element sum for time-modulated offsets, filled in row blocks.
+
+    columns[i, m] is element m's envelope times conjugate weight at t_i, and
+    delay[m, j] = m*d*sin(theta_j)/c.  Each block reuses its own buffers, and
+    every cell's arithmetic is independent of the block size and of the
+    thread that fills it.
+    """
+    n_t, n_theta = t_prime.size, delay.shape[1]
+    rows = max(1, BLOCK_CELLS // n_theta)
+    carrier_delay = config.carrier_freq * delay
+    field = np.zeros((n_t, n_theta), dtype=complex)
+
+    def fill(start: int) -> None:
+        t = t_prime[start:start + rows, None]
+        acc = field[start:start + rows]
+        tau = np.empty(acc.shape)
+        phase = np.empty(acc.shape)
+        term = np.empty(acc.shape, dtype=complex)
+        for mi in range(delay.shape[0]):
+            np.add(t, delay[mi], out=tau)
+            np.multiply(plan.chi(mi, tau), tau, out=phase)
+            phase += carrier_delay[mi]
+            phase *= 2.0 * np.pi
+            np.cos(phase, out=term.real)
+            np.sin(phase, out=term.imag)
+            term *= columns[start:start + rows, mi, None]
+            acc += term
+
+    starts = range(0, n_t, rows)
+    # the CPUs this process may run on; only Linux has an affinity set
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, len(starts))
+    if workers <= 1:
+        for start in starts:
+            fill(start)
+    else:
+        # numpy ufuncs release the GIL; imported here to keep it off the CLI's start-up path
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            for done in [pool.submit(fill, start) for start in starts]:
+                done.result()
+    return field
+
+
 def exact_field_matrix(config: ArrayConfig, plan: FrequencyPlan,
                        w: WeightVector | np.ndarray,
                        waveforms: BasebandWaveform | Sequence[BasebandWaveform],
@@ -133,23 +184,21 @@ def exact_field_matrix(config: ArrayConfig, plan: FrequencyPlan,
     m = config.element_index
     d_over_c = config.spacing / config.wave_speed
     sin_th = np.sin(theta)
+    # envelope times conjugate weight, (N_t, M)
+    columns = np.stack([wf.sample(t_prime) for wf in wfs], axis=1) * wc
 
     if isinstance(plan, TimeModulatedPlan):
-        field = np.zeros((t_prime.size, theta.size), dtype=complex)
-        for mi in m:
-            tau = t_prime[:, None] + mi * d_over_c * sin_th[None, :]
-            phase = 2.0 * np.pi * (
-                config.carrier_freq * mi * d_over_c * sin_th[None, :]
-                + plan.chi(int(mi), tau) * tau
-            )
-            field += (wc[:, mi] * wfs[mi].sample(t_prime))[:, None] * np.exp(1j * phase)
+        if plan.form == "table" and len(plan.table_chi) != config.num_elements:
+            raise ValueError(f"time-modulated table has {len(plan.table_chi)} rows, "
+                             f"array has {config.num_elements} elements")
+        field = _time_modulated_field(config, plan, columns, t_prime,
+                                      np.outer(m * d_over_c, sin_th))
         return config.element_pattern_gain * field
 
     offsets = plan_offsets(plan, config.num_elements)
     # time factor (N_t, M), with each element's envelope folded in
     time_fac = np.exp(2j * np.pi * np.outer(t_prime, offsets))
-    samples = np.stack([wf.sample(t_prime) for wf in wfs], axis=1)
-    time_fac *= samples * wc
+    time_fac *= columns
     # angle factor (M, N_theta)
     angle_fac = np.exp(
         2j * np.pi * d_over_c * np.outer((config.carrier_freq + offsets) * m, sin_th)

@@ -68,6 +68,9 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
+MAX_CELLS = 1 << 24  # 268 MB as complex128
+"Cell budget of a section's largest array: N_t*N_theta for grids, M*N_theta for curves and cuts."
+
 
 class ScenarioParseError(Exception):
     "Structural problem: unreadable file, missing section/key, unparseable value."
@@ -131,11 +134,17 @@ def _get(sec: configparser.SectionProxy, key: str, fallback, kind: str = "int"):
         raise ScenarioParseError(f"{sec.name}.{key}: {exc}") from None
 
 
-def _samples(sec: configparser.SectionProxy, key: str, fallback: int) -> int:
-    "A grid sample count; every grid axis needs at least two samples."
+def _samples(sec: configparser.SectionProxy, key: str, fallback: int, rows: int = 1) -> int:
+    """A grid sample count; every grid axis needs at least two samples.
+
+    The section's largest array has rows times this many cells, at most MAX_CELLS.
+    """
     n = _get(sec, key, fallback)
     if n < 2:
         raise ScenarioValidationError(f"{sec.name}.{key}: need at least 2 samples, got {n}")
+    if rows * n > MAX_CELLS:
+        raise ScenarioValidationError(
+            f"{sec.name}.{key}: {n} samples need {rows * n} cells, over the budget of {MAX_CELLS}")
     return n
 
 
@@ -292,9 +301,10 @@ def _parse_fitb_grid(sec: configparser.SectionProxy, sc: Scenario) -> dict:
         raise ScenarioParseError(f"fitb_grid: unknown engine {engine!r}")
     if engine == "closed_form" and not isinstance(sc.plan, UniformPlan):
         raise ScenarioValidationError("fitb_grid: the closed-form engine needs a uniform plan")
+    n_time = _samples(sec, "time_samples", 512)
     return {
-        "n_time": _samples(sec, "time_samples", 512),
-        "n_theta": _samples(sec, "angle_samples", 1024),
+        "n_time": n_time,
+        "n_theta": _samples(sec, "angle_samples", 1024, rows=n_time),
         "engine": engine,
         "trajectory": _get(sec, "trajectory", False, "boolean"),
     }
@@ -315,7 +325,7 @@ def _parse_zero_time_cut(sec: configparser.SectionProxy, sc: Scenario) -> dict:
     tokens = (_parse_list(sec.get("spacings", ""))
               or [sec.parser["array"].get("spacing", "half-wavelength")])
     return {
-        "n_theta": _samples(sec, "angle_samples", 4096),
+        "n_theta": _samples(sec, "angle_samples", 4096, rows=sc.config.num_elements),
         "spacings": [_resolve_spacing(tok, asdict(sc.config), sc.plan, "zero_time_cut.spacings")
                      for tok in tokens],
         "tags": _unique_tags(
@@ -340,12 +350,13 @@ def _parse_legacy_grid(sec: configparser.SectionProxy, sc: Scenario) -> dict:
     if not texts:
         raise ScenarioParseError("legacy_grid: needs a ranges list")
     ranges = [parse_quantity(v, "legacy_grid.ranges") for v in texts]
+    n_time = _samples(sec, "time_samples", 256)
     return {
         "ranges": ranges,
         "tags": _unique_tags("legacy_grid.ranges", texts, [f"{r / 1e3:g}km" for r in ranges],
                              "legacy_r{}"),
-        "n_time": _samples(sec, "time_samples", 256),
-        "n_theta": _samples(sec, "angle_samples", 1024),
+        "n_time": n_time,
+        "n_theta": _samples(sec, "angle_samples", 1024, rows=n_time),
     }
 
 
@@ -374,7 +385,7 @@ def _parse_offsets(sec: configparser.SectionProxy, sc: Scenario) -> dict:
         "offsets": offsets,
         "tags": _unique_tags(f"{sec.name}.offsets", texts, [f"{f / 1e3:g}kHz" for f in offsets],
                              stem),
-        "n_theta": _samples(sec, "angle_samples", 721),
+        "n_theta": _samples(sec, "angle_samples", 721, rows=sc.config.num_elements),
     }
 
 
@@ -449,7 +460,7 @@ def _parse_segments(sec: configparser.SectionProxy) -> list:
 def _parse_schedule(sec: configparser.SectionProxy, sc: Scenario) -> dict:
     segments = _parse_segments(sec)
     n_time = _samples(sec, "time_samples", 512)
-    n_theta = _samples(sec, "angle_samples", 1024)
+    n_theta = _samples(sec, "angle_samples", 1024, rows=n_time)
     try:
         schedule = design_phase_schedule(sc.config, sc.plan.delta_f, segments, n_time)
     except ValueError as exc:

@@ -41,3 +41,23 @@ def field_oracle(config, offsets, weights, waveforms, t_prime, theta):
         sample = complex(waveforms[m].sample(np.asarray(t_prime)))
         total += complex(w[m]).conjugate() * sample * cmath.exp(1j * phase)
     return config.element_pattern_gain * total
+
+
+def time_modulated_oracle(config, plan, weights, waveforms, t_prime, theta):
+    """Plain per-element sum for a time-modulated plan at one cell.
+
+    Element m's offset phase is chi_m(tau)*tau at its local time
+    tau = t' + m*d*sin(theta)/c; the carrier phase is f_c*m*d*sin(theta)/c.
+    """
+    import cmath
+
+    total = 0j
+    w = np.asarray(weights)
+    d_over_c = config.spacing / config.wave_speed
+    for m in range(config.num_elements):
+        tau = t_prime + m * d_over_c * np.sin(theta)
+        phase = 2.0 * np.pi * (config.carrier_freq * m * d_over_c * np.sin(theta)
+                               + float(plan.chi(m, tau)) * tau)
+        sample = complex(waveforms[m].sample(np.asarray(t_prime)))
+        total += complex(w[m]).conjugate() * sample * cmath.exp(1j * phase)
+    return config.element_pattern_gain * total

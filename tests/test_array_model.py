@@ -194,3 +194,23 @@ class TestPlanOffsets:
             table_chi=((0.0, 10.0), (0.0, 20.0)),
         )
         assert plan.chi(1, 0.5e-6) == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("table_t, table_chi", [
+        ((0.0, 1e-6), ((0.0, 10.0), (0.0, 20.0, 30.0))),
+        ((0.0, 1e-6), ((0.0,), (0.0,))),
+        ((0.0, 1e-6, 1e-6), ((0.0, 1.0, 2.0), (0.0, 2.0, 4.0))),
+        ((1e-6, 0.0), ((0.0, 10.0), (0.0, 20.0))),
+    ], ids=["ragged", "short-rows", "repeated-time", "decreasing-time"])
+    def test_time_modulated_table_rejected(self, table_t, table_chi):
+        with pytest.raises(ValueError):
+            fb.TimeModulatedPlan(form="table", table_t=table_t, table_chi=table_chi)
+
+    @pytest.mark.parametrize("rows", [3, 5])
+    def test_time_modulated_table_row_count(self, rows):
+        # one table row per element, checked before the element sum starts
+        cfg = fb.ArrayConfig(num_elements=4, carrier_freq=1e10, spacing=0.015,
+                             pulse_duration=5e-6)
+        plan = fb.TimeModulatedPlan(form="table", table_t=(0.0, 5e-6),
+                                    table_chi=((0.0, 1e3),) * rows)
+        with pytest.raises(ValueError, match=f"{rows} rows, array has 4 elements"):
+            fb.sweep_grid(cfg, plan, fb.uniform_weights(4), fb.rect_pulse(5e-6), 8, 16)

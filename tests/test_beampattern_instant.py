@@ -1,5 +1,3 @@
-import cmath
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +5,7 @@ from hypothesis import strategies as st
 
 import fdabeam as fb
 from fdabeam.beampattern_instant import (
+    BLOCK_CELLS,
     exact_field_matrix,
     grid_from_binary,
     grid_from_csv,
@@ -14,11 +13,14 @@ from fdabeam.beampattern_instant import (
     grid_to_csv,
 )
 
-from conftest import field_oracle, make_config
+from conftest import field_oracle, make_config, time_modulated_oracle
 
 M = 16
 SQRT_TP = np.sqrt(5e-6)
 CFG200K = make_config(200e3)
+N_THETA = 1024
+# time samples crossing two row blocks of the time-modulated sum, with a remainder
+N_BLOCKS_T = 2 * (BLOCK_CELLS // N_THETA) + 5
 
 
 class TestFieldExact:
@@ -77,14 +79,30 @@ class TestFieldExact:
         w = fb.uniform_weights(M)
         t, th = 2.0e-6, 0.6
         got = fb.field_exact(cfg200k, plan, w, rect, fb.EvalPoint(t, th))
-        total = 0j
-        d_over_c = cfg200k.spacing / cfg200k.wave_speed
-        for m in range(M):
-            tau = t + m * d_over_c * np.sin(th)
-            phase = 2 * np.pi * (cfg200k.carrier_freq * m * d_over_c * np.sin(th)
-                                 + float(plan.chi(m, tau)) * tau)
-            total += complex(rect.sample(t)) * cmath.exp(1j * phase)
-        assert got == pytest.approx(total, rel=1e-10)
+        want = time_modulated_oracle(cfg200k, plan, w, [rect] * M, t, th)
+        assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("plan", [
+        fb.TimeModulatedPlan(form="sqrt", rate=50e3, time_scale=1e-6),
+        fb.TimeModulatedPlan(form="cbrt", rate=50e3, time_scale=1e-6),
+        fb.TimeModulatedPlan(form="arctan", rate=50e3, time_scale=1e-6),
+        fb.TimeModulatedPlan(form="sinh", rate=20e3, time_scale=1e-6),
+        fb.TimeModulatedPlan(
+            form="table", table_t=tuple(np.linspace(0.0, 5e-6, 11)),
+            table_chi=tuple(tuple(row) for row in
+                            np.random.default_rng(5).uniform(-1e6, 1e6, (M, 11)))),
+    ], ids=["sqrt", "cbrt", "arctan", "sinh", "table"])
+    def test_time_modulated_grid_against_oracle(self, plan, cfg200k):
+        # a grid of several row blocks, per-element chirps and per-time weights
+        bank = fb.make_chirp_bank(cfg200k)
+        t = np.linspace(0.0, 5e-6, N_BLOCKS_T)
+        theta = fb.theta_grid(N_THETA)
+        w_t = fb.random_unimodular_weights(t.size * M, seed=6).values.reshape(t.size, M)
+        got = exact_field_matrix(cfg200k, plan, w_t, bank, t, theta)
+        rng = np.random.default_rng(7)
+        for i, j in zip(rng.integers(0, t.size, 24), rng.integers(0, theta.size, 24)):
+            want = time_modulated_oracle(cfg200k, plan, w_t[i], bank, t[i], theta[j])
+            assert got[i, j] == pytest.approx(want, rel=1e-10), (i, j)
 
     def test_element_pattern_gain_scales(self, rect):
         base = make_config(200e3)
@@ -112,14 +130,17 @@ class TestFieldExact:
         fb.TimeModulatedPlan(form="arctan", rate=20e3, time_scale=1e-6),
     ])
     def test_per_time_weights_match_row_calls(self, plan, cfg200k, rect):
-        t = np.linspace(0.0, 5e-6, 9)
-        theta = fb.theta_grid(33)
+        t = np.linspace(0.0, 5e-6, N_BLOCKS_T)
+        theta = fb.theta_grid(N_THETA)
         w_t = fb.random_unimodular_weights(t.size * M, seed=4).values.reshape(t.size, M)
         got = exact_field_matrix(cfg200k, plan, w_t, rect, t, theta)
         rows = np.stack([exact_field_matrix(cfg200k, plan, w_t[i], rect, t[i:i + 1], theta)[0]
                          for i in range(t.size)])
         # one matmul against per-row products: summation order may differ
         assert np.allclose(got, rows, rtol=0, atol=1e-12 * M / SQRT_TP)
+        if isinstance(plan, fb.TimeModulatedPlan):
+            # the row-block sum does the same arithmetic per cell for any block
+            assert np.array_equal(got, rows)
 
     @pytest.mark.parametrize("plan", [
         fb.UniformPlan(200e3),

@@ -249,10 +249,26 @@ class TestMainVerbs:
          "'18 km' and '18.0000001 km' both write legacy_r18km"),
         ("[zero_time_cut]\nspacings = 2 cm, 2 CM\n",
          "'2 cm' and '2 CM' both write zero_time_cut_2_cm.csv"),
+        ("[fitb_grid]\ntime_samples = 1000000000000\n",
+         "fitb_grid.time_samples: 1000000000000 samples need 1000000000000 cells"),
+        ("[fitb_grid]\nangle_samples = 1000000000000\n",
+         "fitb_grid.angle_samples: 1000000000000 samples need 512000000000000 cells"),
+        ("[legacy_grid]\nranges = 18 km\ntime_samples = 20000\n",
+         "legacy_grid.angle_samples: 1024 samples need 20480000 cells"),
+        ("[schedule]\nsegment1 = 0 us, 5 us, 0, 10\nangle_samples = 1000000000000\n",
+         "schedule.angle_samples: 1000000000000 samples need 512000000000000 cells"),
+        ("[zero_time_cut]\nangle_samples = 1000000000000\n",
+         "zero_time_cut.angle_samples: 1000000000000 samples need 8000000000000 cells"),
+        ("[fgtb_curve]\nangle_samples = 3000000\n",
+         "fgtb_curve.angle_samples: 3000000 samples need 24000000 cells"),
+        ("[mimo_compare]\nangle_samples = 1000000000000\n",
+         "mimo_compare.angle_samples: 1000000000000 samples need 8000000000000 cells"),
     ], ids=["tabulated-scan-report", "coded-zero-time-cut", "time-modulated-legacy-grid",
             "tabulated-schedule", "segment-beyond-pulse", "negative-weight-seed",
             "coded-closed-form", "fgtb-offset-collision", "mimo-offset-collision",
-            "legacy-range-collision", "spacing-collision"])
+            "legacy-range-collision", "spacing-collision", "fitb-time-budget",
+            "fitb-angle-budget", "legacy-time-budget", "schedule-angle-budget",
+            "zero-time-cut-budget", "fgtb-curve-budget", "mimo-compare-budget"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, verb, body, expected):
         path = tmp_path / "s.ini"
         path.write_text("[array]\nelements = 8\ncarrier = 10 GHz\npulse = 5 us\n" + body)
