@@ -15,8 +15,6 @@ from .array_model import (
     random_unimodular_weights,
     reference_wavelength,
     steered_weights,
-    steering_angle,
-    steering_fo_angle,
     steering_time,
     uniform_weights,
 )

@@ -8,7 +8,6 @@ frozen dataclasses and safe to share across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -36,7 +35,6 @@ class ArrayConfig:
         spacing: inter-element spacing in meters
         pulse_duration: baseband pulse length in seconds
         wave_speed: propagation speed in m/s
-        element_pattern_gain: constant scalar element pattern (angle independent)
     """
 
     num_elements: int
@@ -44,14 +42,13 @@ class ArrayConfig:
     spacing: float
     pulse_duration: float
     wave_speed: float = SPEED_OF_LIGHT
-    element_pattern_gain: float = 1.0
 
     def __post_init__(self):
         if self.num_elements < 1:
             raise ValueError(f"num_elements must be >= 1, got {self.num_elements}")
         for name in ("carrier_freq", "spacing", "pulse_duration", "wave_speed"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
     def narrowband_ratio(self, bandwidth: float) -> float:
         """Aperture transit time over inverse bandwidth: (M*d*B)/c.
@@ -156,10 +153,9 @@ def plan_offsets(plan: FrequencyPlan, num_elements: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
-    "Complex beamformer weights with a provenance tag."
+    "Complex beamformer weights."
 
     values: np.ndarray
-    origin: str = "custom"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -205,51 +201,27 @@ def reference_wavelength(config: ArrayConfig, plan: FrequencyPlan) -> float:
     return config.wave_speed / (config.carrier_freq + (config.num_elements - 1) * plan.delta_f)
 
 
-def steering_angle(config: ArrayConfig, theta) -> np.ndarray:
-    "Carrier-frequency angle steering vector: entry m = exp(j*2*pi*(f_c/c)*m*d*sin(theta))."
-    m = config.element_index
-    phase = 2.0 * np.pi * (config.carrier_freq / config.wave_speed) * config.spacing \
-        * np.multiply.outer(np.sin(np.asarray(theta, dtype=float)), m)
-    return np.exp(1j * phase)
-
-
-def steering_fo_angle(config: ArrayConfig, plan: FrequencyPlan, theta) -> np.ndarray:
-    """Frequency-offset angle steering vector.
-
-    Uniform plans give entry m = exp(j*2*pi*delta_f*m^2*d*sin(theta)/c); tabulated
-    plans use their per-element offsets, entry m = exp(j*2*pi*delta_f_m*m*d*sin(theta)/c).
-    """
-    if isinstance(plan, TimeModulatedPlan):
-        raise UnsupportedPlanError(
-            "time-modulated steering is handled inside the exact field engine"
-        )
-    m = config.element_index
-    fo_times_m = plan_offsets(plan, config.num_elements) * m
-    phase = (2.0 * np.pi * config.spacing / config.wave_speed) \
-        * np.multiply.outer(np.sin(np.asarray(theta, dtype=float)), fo_times_m)
-    return np.exp(1j * phase)
-
-
 def steering_time(config: ArrayConfig, plan: FrequencyPlan, t_prime) -> np.ndarray:
     "Time steering vector: entry m = exp(j*2*pi*delta_f_m*t')."
-    if isinstance(plan, TimeModulatedPlan):
-        raise UnsupportedPlanError(
-            "time-modulated steering is handled inside the exact field engine"
-        )
     offsets = plan_offsets(plan, config.num_elements)
-    phase = 2.0 * np.pi * np.multiply.outer(np.asarray(t_prime, dtype=float), offsets)
-    return np.exp(1j * phase)
+    return np.exp(2j * np.pi * np.multiply.outer(np.asarray(t_prime, dtype=float), offsets))
 
 
 def combined_angle_steering(config: ArrayConfig, plan: FrequencyPlan, theta) -> np.ndarray:
-    "Full angle steering a_T(theta) * a_T(fo, theta), entry m = exp(j*2*pi*(f_c+df_m)*m*d*sin(theta)/c)."
-    return steering_angle(config, theta) * steering_fo_angle(config, plan, theta)
+    """Angle steering vector, entry m = exp(j*2*pi*(f_c+delta_f_m)*m*d*sin(theta)/c).
+
+    The one definition of the element angle phases: the exact field engine,
+    the integral beampattern, MIMO (zero offsets) and steered weights use it.
+    """
+    freq_m = (config.carrier_freq + plan_offsets(plan, config.num_elements)) * config.element_index
+    return np.exp(2j * np.pi * (config.spacing / config.wave_speed)
+                  * np.multiply.outer(np.sin(np.asarray(theta, dtype=float)), freq_m))
 
 
 def steered_weights(config: ArrayConfig, plan: FrequencyPlan, theta0: float) -> WeightVector:
     """Weights that put the zero-time mainlobe of the exact field at theta0.
 
-    Returns w = a_T(theta0) * a_T(fo, theta0); the exact field engine applies
+    Returns w = combined_angle_steering(theta0); the exact field engine applies
     weights conjugated (w^H), so this choice cancels every element phase at
     (t'=0, theta=theta0) and the weighted sum there equals exactly M.
     """
@@ -257,22 +229,18 @@ def steered_weights(config: ArrayConfig, plan: FrequencyPlan, theta0: float) -> 
         raise UnsupportedPlanError("steered weights are defined for uniform plans")
     if abs(theta0) >= np.pi / 2:
         raise OutOfSectorError(f"steering angle {theta0} rad is outside (-pi/2, pi/2)")
-    vec = combined_angle_steering(config, plan, theta0)
-    return WeightVector(values=vec, origin=f"steered({math.degrees(theta0):g} deg)")
+    return WeightVector(combined_angle_steering(config, plan, theta0))
 
 
 def uniform_weights(num_elements: int) -> WeightVector:
     "All-ones weight vector."
-    return WeightVector(values=np.ones(num_elements, dtype=complex), origin="uniform")
+    return WeightVector(np.ones(num_elements, dtype=complex))
 
 
 def random_unimodular_weights(num_elements: int, seed: int) -> WeightVector:
     "Unit-modulus weights w_m = exp(j*2*pi*u_m) with u_m uniform on (0,1), seeded."
     rng = np.random.default_rng(seed)
-    return WeightVector(
-        values=np.exp(2j * np.pi * rng.random(num_elements)),
-        origin=f"random(seed={seed})",
-    )
+    return WeightVector(np.exp(2j * np.pi * rng.random(num_elements)))
 
 
 def as_weight_array(w: WeightVector | Sequence[complex] | np.ndarray,

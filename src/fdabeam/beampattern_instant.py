@@ -11,6 +11,10 @@ t' = t - r/c and azimuth theta:
   demonstrate its range dependence is an artifact of ignoring the pulse
   window.
 
+Element m's phases have one definition, shared with the integral pattern:
+2*pi*delta_f_m*t' (``array_model.steering_time``) plus
+2*pi*(f_c+delta_f_m)*m*d*sin(theta)/c (``array_model.combined_angle_steering``).
+Time-modulated plans alone replace the offset terms, inside the exact engine.
 Carrier and 1/r factors are constant-modulus and excluded throughout; pattern
 values are field magnitudes up to a positive constant.
 """
@@ -33,7 +37,8 @@ from .array_model import (
     UniformPlan,
     UnsupportedPlanError,
     WeightVector,
-    plan_offsets,
+    combined_angle_steering,
+    steering_time,
 )
 from .waveform import BasebandWaveform
 
@@ -83,7 +88,7 @@ class BeampatternGrid:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def to_db(self, floor: float = DB_FLOOR) -> "BeampatternGrid":
+    def to_db(self) -> "BeampatternGrid":
         "20*log10 relative to the grid peak, floored."
         if self.normalization == "dB-rel-peak":
             return self
@@ -93,7 +98,7 @@ class BeampatternGrid:
         with np.errstate(divide="ignore"):
             db = 20.0 * np.log10(self.values / peak)
         return BeampatternGrid(self.t_axis, self.theta_axis,
-                               np.maximum(db, floor), "dB-rel-peak")
+                               np.maximum(db, DB_FLOOR), "dB-rel-peak")
 
 
 def theta_grid(n_theta: int) -> np.ndarray:
@@ -166,9 +171,8 @@ def exact_field_matrix(config: ArrayConfig, plan: FrequencyPlan,
                        t_prime: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Exact complex field on the outer product of time and azimuth samples.
 
-    Row i, column j holds
-    sum_m conj(w_m) * s_m(t_i) * exp(j*2*pi*df_m*t_i) * exp(j*2*pi*(f_c+df_m)*m*d*sin(theta_j)/c)
-    with df_m from the plan; time-modulated plans replace the offset phases by
+    Row i, column j holds sum_m conj(w_m) * s_m(t_i) * steering_time(t_i)[m] *
+    combined_angle_steering(theta_j)[m]; time-modulated plans replace the offset phases by
     chi_m(tau)*tau evaluated at the element-local time tau = t_i + m*d*sin(theta_j)/c.
     Weights are one length-M vector for all times, or an (N_t, M) array whose
     row i weights time sample t_i (time-variant beamforming).
@@ -181,9 +185,6 @@ def exact_field_matrix(config: ArrayConfig, plan: FrequencyPlan,
                          f"or ({t_prime.size}, {config.num_elements})")
     wc = np.atleast_2d(wc)  # (1, M) or (N_t, M): row i weights time t_i
     wfs = _waveform_list(waveforms, config.num_elements)
-    m = config.element_index
-    d_over_c = config.spacing / config.wave_speed
-    sin_th = np.sin(theta)
     # envelope times conjugate weight, (N_t, M)
     columns = np.stack([wf.sample(t_prime) for wf in wfs], axis=1) * wc
 
@@ -191,19 +192,12 @@ def exact_field_matrix(config: ArrayConfig, plan: FrequencyPlan,
         if plan.form == "table" and len(plan.table_chi) != config.num_elements:
             raise ValueError(f"time-modulated table has {len(plan.table_chi)} rows, "
                              f"array has {config.num_elements} elements")
-        field = _time_modulated_field(config, plan, columns, t_prime,
-                                      np.outer(m * d_over_c, sin_th))
-        return config.element_pattern_gain * field
+        delay = np.outer(config.element_index * (config.spacing / config.wave_speed),
+                         np.sin(theta))
+        return _time_modulated_field(config, plan, columns, t_prime, delay)
 
-    offsets = plan_offsets(plan, config.num_elements)
-    # time factor (N_t, M), with each element's envelope folded in
-    time_fac = np.exp(2j * np.pi * np.outer(t_prime, offsets))
-    time_fac *= columns
-    # angle factor (M, N_theta)
-    angle_fac = np.exp(
-        2j * np.pi * d_over_c * np.outer((config.carrier_freq + offsets) * m, sin_th)
-    )
-    return config.element_pattern_gain * (time_fac @ angle_fac)
+    return (steering_time(config, plan, t_prime) * columns) \
+        @ combined_angle_steering(config, plan, theta).T
 
 
 def field_exact(config: ArrayConfig, plan: FrequencyPlan,

@@ -24,7 +24,6 @@ from .array_model import (
     as_weight_array,
     combined_angle_steering,
     plan_offsets,
-    steering_angle,
 )
 from .beampattern_instant import write_csv
 from .waveform import BasebandWaveform, with_freq_offset
@@ -117,20 +116,16 @@ def default_quadrature_samples(config: ArrayConfig,
 def covariance(waveforms: Sequence[BasebandWaveform],
                plan: FrequencyPlan | None,
                flavor: str = "fda",
-               n_quadrature: int | None = None,
-               config: ArrayConfig | None = None,
-               num_elements: int | None = None) -> CovarianceMatrix:
+               n_quadrature: int | None = None) -> CovarianceMatrix:
     """Waveform covariance by composite trapezoid quadrature over [0, T_p].
 
     Entry (m, n) is the integral of s_m(t) * conj(s_n(t)) * exp(j*2*pi*(df_m - df_n)*t)
-    for flavor "fda", or without the offset exponential for flavor "mimo".
-    The matrix is assembled as a weighted Gram matrix, so it is Hermitian and
-    positive semidefinite by construction.
+    for flavor "fda", or without the offset exponential for flavor "mimo";
+    M is the number of waveforms.  The matrix is assembled as a weighted Gram
+    matrix, so it is Hermitian and positive semidefinite by construction.
     """
     waveforms = list(waveforms)
-    m_count = num_elements or (config.num_elements if config else len(waveforms))
-    if len(waveforms) != m_count:
-        raise ValueError(f"got {len(waveforms)} waveforms for {m_count} elements")
+    m_count = len(waveforms)
     tp = waveforms[0].pulse_duration
     if any(wf.pulse_duration != tp for wf in waveforms):
         raise ValueError("all waveforms must share the pulse duration")
@@ -192,13 +187,13 @@ def mimo_beampattern(r: CovarianceMatrix, config: ArrayConfig,
                      w: WeightVector | np.ndarray, theta) -> np.ndarray:
     """Co-located MIMO transmit beampattern v^H R v (no 1/T_p factor).
 
-    v pairs the conjugate weights with the carrier-frequency steering only;
-    requires a "mimo"-flavor covariance.
+    v pairs the conjugate weights with the carrier-frequency steering only,
+    the angle steering at zero offsets; requires a "mimo"-flavor covariance.
     """
     if r.flavor != "mimo":
         raise FlavorMismatchError("mimo_beampattern requires a mimo-flavor covariance")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    return _steered_power(r, w, steering_angle(config, theta))
+    return _steered_power(r, w, combined_angle_steering(config, UniformPlan(0.0), theta))
 
 
 def equivalence_fo_bounds(config: ArrayConfig, waveform_bandwidth: float) -> tuple[float, float]:
@@ -244,8 +239,8 @@ def compare_fgtb_mimo(config: ArrayConfig, plan: UniformPlan,
 
     if n_quadrature is None:
         n_quadrature = default_quadrature_samples(config, list(waveforms), plan)
-    r_fda = covariance(waveforms, plan, "fda", n_quadrature, num_elements=config.num_elements)
-    r_mimo = covariance(mimo_wfs, None, "mimo", n_quadrature, num_elements=config.num_elements)
+    r_fda = covariance(waveforms, plan, "fda", n_quadrature)
+    r_mimo = covariance(mimo_wfs, None, "mimo", n_quadrature)
 
     # fgtb() would divide by T_p before normalizing; normalize the unscaled
     # form so the 0 Hz deviation stays exactly zero
@@ -263,18 +258,11 @@ def compare_fgtb_mimo(config: ArrayConfig, plan: UniformPlan,
     )
 
 
-def curve_to_csv(theta: np.ndarray, values: np.ndarray, path: str | Path,
-                 db: bool = True) -> Path:
-    """Two-column CSV (theta_deg, value_dB) of a power-like azimuth curve.
-
-    Values are 10*log10 relative to the curve peak when db is set, otherwise
-    written as-is with a "value" header.
-    """
+def curve_to_csv(theta: np.ndarray, values: np.ndarray, path: str | Path) -> Path:
+    "Two-column CSV (theta_deg, value_dB) of a power-like azimuth curve, 10*log10 rel. peak."
     values = np.asarray(values, dtype=float)
-    if db:
-        values = 10.0 * np.log10(values / values.max())
-    return write_csv(path, "theta_deg,value_db" if db else "theta_deg,value",
-                     np.degrees(theta), values)
+    return write_csv(path, "theta_deg,value_db", np.degrees(theta),
+                     10.0 * np.log10(values / values.max()))
 
 
 def covariance_to_csv(r: CovarianceMatrix, path: str | Path) -> Path:

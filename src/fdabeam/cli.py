@@ -14,10 +14,11 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -32,6 +33,7 @@ from .array_model import (
     UniformPlan,
     WeightVector,
     random_unimodular_weights,
+    reference_wavelength,
     steered_weights,
     uniform_weights,
 )
@@ -69,7 +71,7 @@ EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
 MAX_CELLS = 1 << 24  # 268 MB as complex128
-"Cell budget of a section's largest array: N_t*N_theta for grids, M*N_theta for curves and cuts."
+"Cell budget of each array a scenario allocates: M, N_t*N_theta, N_t*M, M*N_theta, M*N_q."
 
 
 class ScenarioParseError(Exception):
@@ -90,13 +92,15 @@ _QTY_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([a-zA-Zµ]*)\s*$")
 
 
 def _split_number(text: str, where: str, what: str) -> tuple[float, str]:
-    "Leading number and unit suffix of a value; the pattern also admits non-numbers like '1e'."
+    "Finite leading number and unit suffix; the pattern also admits non-numbers like '1e'."
     match = _QTY_RE.match(text)
     if match:
         try:
-            return float(match.group(1)), match.group(2)
+            value = float(match.group(1))
         except ValueError:
-            pass
+            value = math.nan
+        if math.isfinite(value):
+            return value, match.group(2)
     raise ScenarioParseError(f"{where}: cannot parse {what} {text!r}")
 
 
@@ -104,11 +108,12 @@ def parse_quantity(text: str, where: str) -> float:
     "Number with optional engineering unit suffix, normalized to SI."
     value, suffix = _split_number(text, where, "quantity")
     unit = suffix.replace("µ", "u").lower()
-    if not unit:
-        return value
-    if unit not in _UNIT_SCALE:
+    if unit and unit not in _UNIT_SCALE:
         raise ScenarioParseError(f"{where}: unknown unit {suffix!r}")
-    return value * _UNIT_SCALE[unit]
+    value *= _UNIT_SCALE.get(unit, 1.0)
+    if not math.isfinite(value):
+        raise ScenarioParseError(f"{where}: quantity {text!r} overflows")
+    return value
 
 
 def parse_angle(text: str, where: str) -> float:
@@ -127,24 +132,31 @@ def _parse_list(text: str) -> list[str]:
 
 
 def _get(sec: configparser.SectionProxy, key: str, fallback, kind: str = "int"):
-    "sec.getint/getfloat/getboolean, reporting an unparseable value as a parse error."
+    "sec.getint/getfloat/getboolean, reporting an unparseable or non-finite value as a parse error."
     try:
-        return getattr(sec, f"get{kind}")(key, fallback=fallback)
+        value = getattr(sec, f"get{kind}")(key, fallback=fallback)
     except ValueError as exc:
         raise ScenarioParseError(f"{sec.name}.{key}: {exc}") from None
+    if kind == "float" and not math.isfinite(value):
+        raise ScenarioParseError(f"{sec.name}.{key}: {value} is not a finite number")
+    return value
 
 
-def _samples(sec: configparser.SectionProxy, key: str, fallback: int, rows: int = 1) -> int:
+def _check_cells(where: str, what: str, cells: int) -> None:
+    if cells > MAX_CELLS:
+        raise ScenarioValidationError(
+            f"{where}: {what} need {cells} cells, over the budget of {MAX_CELLS}")
+
+
+def _samples(sec: configparser.SectionProxy, key: str, fallback: int, *rows: int) -> int:
     """A grid sample count; every grid axis needs at least two samples.
 
-    The section's largest array has rows times this many cells, at most MAX_CELLS.
+    Arrays of this many columns times each of rows cells are allocated; each must fit MAX_CELLS.
     """
     n = _get(sec, key, fallback)
     if n < 2:
         raise ScenarioValidationError(f"{sec.name}.{key}: need at least 2 samples, got {n}")
-    if rows * n > MAX_CELLS:
-        raise ScenarioValidationError(
-            f"{sec.name}.{key}: {n} samples need {rows * n} cells, over the budget of {MAX_CELLS}")
+    _check_cells(f"{sec.name}.{key}", f"{n} samples", n * max(rows, default=1))
     return n
 
 
@@ -162,20 +174,17 @@ class Scenario:
     out_dir: str = "out"
 
 
-def _resolve_spacing(token: str, config_dict: dict, plan: FrequencyPlan, where: str) -> float:
+_WAVELENGTHS = {"half-wavelength": 0.5, "lambda0/2": 0.5, "wavelength": 1.0, "lambda0": 1.0}
+
+
+def _resolve_spacing(token: str, config: ArrayConfig, plan: FrequencyPlan, where: str) -> float:
+    "A length, or a multiple of lambda_0: the reference wavelength, c/f_c for non-uniform plans."
     token = token.strip().lower()
-    fc = config_dict["carrier_freq"]
-    m = config_dict["num_elements"]
-    c = config_dict["wave_speed"]
+    if token not in _WAVELENGTHS:
+        return parse_quantity(token, where)
     if isinstance(plan, UniformPlan):
-        lam0 = c / (fc + (m - 1) * plan.delta_f)
-    else:
-        lam0 = c / fc
-    if token in ("half-wavelength", "lambda0/2"):
-        return lam0 / 2.0
-    if token in ("wavelength", "lambda0"):
-        return lam0
-    return parse_quantity(token, where)
+        return _WAVELENGTHS[token] * reference_wavelength(config, plan)
+    return _WAVELENGTHS[token] * (config.wave_speed / config.carrier_freq)
 
 
 def _preset_text(name: str) -> str:
@@ -301,10 +310,10 @@ def _parse_fitb_grid(sec: configparser.SectionProxy, sc: Scenario) -> dict:
         raise ScenarioParseError(f"fitb_grid: unknown engine {engine!r}")
     if engine == "closed_form" and not isinstance(sc.plan, UniformPlan):
         raise ScenarioValidationError("fitb_grid: the closed-form engine needs a uniform plan")
-    n_time = _samples(sec, "time_samples", 512)
+    n_time = _samples(sec, "time_samples", 512, sc.config.num_elements)
     return {
         "n_time": n_time,
-        "n_theta": _samples(sec, "angle_samples", 1024, rows=n_time),
+        "n_theta": _samples(sec, "angle_samples", 1024, n_time, sc.config.num_elements),
         "engine": engine,
         "trajectory": _get(sec, "trajectory", False, "boolean"),
     }
@@ -325,8 +334,8 @@ def _parse_zero_time_cut(sec: configparser.SectionProxy, sc: Scenario) -> dict:
     tokens = (_parse_list(sec.get("spacings", ""))
               or [sec.parser["array"].get("spacing", "half-wavelength")])
     return {
-        "n_theta": _samples(sec, "angle_samples", 4096, rows=sc.config.num_elements),
-        "spacings": [_resolve_spacing(tok, asdict(sc.config), sc.plan, "zero_time_cut.spacings")
+        "n_theta": _samples(sec, "angle_samples", 4096, sc.config.num_elements),
+        "spacings": [_resolve_spacing(tok, sc.config, sc.plan, "zero_time_cut.spacings")
                      for tok in tokens],
         "tags": _unique_tags(
             "zero_time_cut.spacings", tokens,
@@ -350,13 +359,13 @@ def _parse_legacy_grid(sec: configparser.SectionProxy, sc: Scenario) -> dict:
     if not texts:
         raise ScenarioParseError("legacy_grid: needs a ranges list")
     ranges = [parse_quantity(v, "legacy_grid.ranges") for v in texts]
-    n_time = _samples(sec, "time_samples", 256)
+    n_time = _samples(sec, "time_samples", 256, sc.config.num_elements)
     return {
         "ranges": ranges,
         "tags": _unique_tags("legacy_grid.ranges", texts, [f"{r / 1e3:g}km" for r in ranges],
                              "legacy_r{}"),
         "n_time": n_time,
-        "n_theta": _samples(sec, "angle_samples", 1024, rows=n_time),
+        "n_theta": _samples(sec, "angle_samples", 1024, n_time, sc.config.num_elements),
     }
 
 
@@ -380,12 +389,16 @@ def _parse_offsets(sec: configparser.SectionProxy, sc: Scenario) -> dict:
     "The offsets list, their tags and the angle count shared by [fgtb_curve] and [mimo_compare]."
     texts = _parse_list(sec.get("offsets", "0"))
     offsets = [parse_quantity(v, f"{sec.name}.offsets") for v in texts]
+    for text, off in zip(texts, offsets):  # each covariance samples M waveforms N_q times
+        n_q = default_quadrature_samples(sc.config, sc.waveforms, UniformPlan(off))
+        _check_cells(f"{sec.name}.offsets", f"{text!r} and {n_q} quadrature samples",
+                     sc.config.num_elements * n_q)
     stem = "fgtb_df{}.csv" if sec.name == "fgtb_curve" else "mimo_compare_df{}.csv"
     return {
         "offsets": offsets,
         "tags": _unique_tags(f"{sec.name}.offsets", texts, [f"{f / 1e3:g}kHz" for f in offsets],
                              stem),
-        "n_theta": _samples(sec, "angle_samples", 721, rows=sc.config.num_elements),
+        "n_theta": _samples(sec, "angle_samples", 721, sc.config.num_elements),
     }
 
 
@@ -400,9 +413,9 @@ def _run_fgtb_curve(sc: Scenario, params: dict, out: Path) -> list[Path]:
     for off, tag in zip(params["offsets"], params["tags"]):
         plan = UniformPlan(off)
         n_q = default_quadrature_samples(sc.config, sc.waveforms, plan)
-        r = covariance(sc.waveforms, plan, "fda", n_q, num_elements=sc.config.num_elements)
+        r = covariance(sc.waveforms, plan, "fda", n_q)
         values = fgtb(r, sc.config, plan, sc.weights, theta)
-        written.append(curve_to_csv(theta, values, out / f"fgtb_df{tag}.csv", db=True))
+        written.append(curve_to_csv(theta, values, out / f"fgtb_df{tag}.csv"))
         if params["covariance_csv"]:
             written.append(covariance_to_csv(r, out / f"covariance_df{tag}.csv"))
     return written
@@ -459,8 +472,8 @@ def _parse_segments(sec: configparser.SectionProxy) -> list:
 
 def _parse_schedule(sec: configparser.SectionProxy, sc: Scenario) -> dict:
     segments = _parse_segments(sec)
-    n_time = _samples(sec, "time_samples", 512)
-    n_theta = _samples(sec, "angle_samples", 1024, rows=n_time)
+    n_time = _samples(sec, "time_samples", 512, sc.config.num_elements)
+    n_theta = _samples(sec, "angle_samples", 1024, n_time, sc.config.num_elements)
     try:
         schedule = design_phase_schedule(sc.config, sc.plan.delta_f, segments, n_time)
     except ValueError as exc:
@@ -511,7 +524,7 @@ _SETUP_SECTIONS = ("scenario", "array", "plan", "weights", "waveforms", "outputs
 
 def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     "Parse and semantically validate a scenario file body."
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -519,7 +532,7 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
 
     if parser.has_section("scenario") and parser["scenario"].get("preset"):
         base_text = _preset_text(parser["scenario"]["preset"].strip())
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         parser.read_string(base_text)
         parser.read_string(text)
 
@@ -539,17 +552,22 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
         name = parser["scenario"].get("name", name)
         seed = _get(parser["scenario"], "seed", None)
 
-    config_dict = {
-        "num_elements": _get(arr, "elements", None),
-        "carrier_freq": parse_quantity(arr["carrier"], "array.carrier"),
-        "pulse_duration": parse_quantity(arr["pulse"], "array.pulse"),
-        "wave_speed": parse_quantity(arr.get("wave_speed", "3e8"), "array.wave_speed"),
-    }
-    plan = _parse_plan(parser, config_dict["num_elements"], seed)
-    spacing = _resolve_spacing(arr.get("spacing", "half-wavelength"), config_dict, plan,
-                               "array.spacing")
+    num_elements = _get(arr, "elements", None)
+    _check_cells("array.elements", f"{num_elements} elements", num_elements)
     try:
-        config = ArrayConfig(spacing=spacing, **config_dict)
+        config = ArrayConfig(
+            num_elements=num_elements,
+            carrier_freq=parse_quantity(arr["carrier"], "array.carrier"),
+            spacing=1.0,  # resolved below, once the plan is known
+            pulse_duration=parse_quantity(arr["pulse"], "array.pulse"),
+            wave_speed=parse_quantity(arr.get("wave_speed", "3e8"), "array.wave_speed"),
+        )
+        plan = _parse_plan(parser, num_elements, seed)
+        if isinstance(plan, UniformPlan) and \
+                config.carrier_freq + (num_elements - 1) * plan.delta_f <= 0:
+            raise ValueError("every element frequency f_c + m*offset must be positive")
+        config = replace(config, spacing=_resolve_spacing(
+            arr.get("spacing", "half-wavelength"), config, plan, "array.spacing"))
     except ValueError as exc:
         raise ScenarioValidationError(f"array: {exc}") from exc
 

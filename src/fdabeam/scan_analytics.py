@@ -164,7 +164,7 @@ class PeakTrajectory:
     """Per-time-row mainlobe location extracted from a grid.
 
     theta holds the parabolic-interpolated peak azimuth per row; rows whose
-    maximum falls below half the reference level are flagged ambiguous (the
+    maximum falls below half the grid maximum are flagged ambiguous (the
     mainlobe is transitioning across the +-90 degree wrap or absent).
     """
 
@@ -179,18 +179,17 @@ class PeakTrajectory:
             object.__setattr__(self, name, arr)
 
 
-def measure_peak_trajectory(grid: BeampatternGrid,
-                            peak_ref: float | None = None) -> PeakTrajectory:
+def measure_peak_trajectory(grid: BeampatternGrid) -> PeakTrajectory:
     """Extract the mainlobe azimuth of every time row of a linear grid.
 
     Uses the row argmax refined by a 3-point parabolic fit in sin(theta), where
-    the kernel is uniform.  peak_ref defaults to the grid maximum; rows with
-    max below 0.5*peak_ref are flagged ambiguous.
+    the kernel is uniform.  Rows whose maximum is below half the grid maximum
+    are flagged ambiguous.
     """
     if grid.normalization != "linear-magnitude":
         raise ValueError("trajectory extraction needs a linear-magnitude grid")
     sin_th = np.sin(grid.theta_axis)
-    ref = grid.values.max() if peak_ref is None else peak_ref
+    ref = grid.values.max()
     n_t = grid.t_axis.size
     theta = np.empty(n_t)
     ambiguous = np.zeros(n_t, dtype=bool)

@@ -40,7 +40,7 @@ def field_oracle(config, offsets, weights, waveforms, t_prime, theta):
         )
         sample = complex(waveforms[m].sample(np.asarray(t_prime)))
         total += complex(w[m]).conjugate() * sample * cmath.exp(1j * phase)
-    return config.element_pattern_gain * total
+    return total
 
 
 def time_modulated_oracle(config, plan, weights, waveforms, t_prime, theta):
@@ -60,4 +60,4 @@ def time_modulated_oracle(config, plan, weights, waveforms, t_prime, theta):
                                + float(plan.chi(m, tau)) * tau)
         sample = complex(waveforms[m].sample(np.asarray(t_prime)))
         total += complex(w[m]).conjugate() * sample * cmath.exp(1j * phase)
-    return config.element_pattern_gain * total
+    return total

@@ -14,6 +14,9 @@ class TestArrayConfig:
             fb.ArrayConfig(num_elements=0, carrier_freq=1e10, spacing=0.015, pulse_duration=5e-6)
         with pytest.raises(ValueError):
             fb.ArrayConfig(num_elements=4, carrier_freq=-1, spacing=0.015, pulse_duration=5e-6)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                fb.ArrayConfig(num_elements=4, carrier_freq=1e10, spacing=bad, pulse_duration=5e-6)
 
     def test_narrowband_ratio(self):
         cfg = make_config(0.0)
@@ -46,36 +49,41 @@ class TestReferenceWavelength:
 
 
 class TestSteeringVectors:
+    ZERO = fb.UniformPlan(0.0)
+
     def test_broadside_all_ones(self):
         cfg = make_config(0.0)
-        assert np.allclose(fb.steering_angle(cfg, 0.0), 1.0)
+        assert np.array_equal(fb.combined_angle_steering(cfg, self.ZERO, 0.0), np.ones(16))
 
     def test_half_wavelength_endfire(self):
         cfg = fb.ArrayConfig(num_elements=2, carrier_freq=1e10, spacing=0.015,
                              pulse_duration=5e-6)
-        vec = fb.steering_angle(cfg, np.pi / 2)
+        vec = fb.combined_angle_steering(cfg, self.ZERO, np.pi / 2)
         assert vec[0] == pytest.approx(1.0)
         assert vec[1] == pytest.approx(-1.0)  # exp(j*pi)
 
     def test_entry_one_phase_at_30deg(self):
         cfg = fb.ArrayConfig(num_elements=16, carrier_freq=1e10, spacing=0.015,
                              pulse_duration=5e-6)
-        vec = fb.steering_angle(cfg, np.radians(30.0))
+        vec = fb.combined_angle_steering(cfg, self.ZERO, np.radians(30.0))
         # 2*pi*(1e10/3e8)*0.015*0.5 = 2*pi*0.25
         assert np.angle(vec[1]) == pytest.approx(2 * np.pi * 0.25, abs=1e-9)
 
     def test_fo_steering_zero_offset_all_ones(self):
+        # zero offsets leave the carrier steering alone: the offset factor is all ones
         cfg = make_config(0.0)
-        vec = fb.steering_fo_angle(cfg, fb.UniformPlan(0.0), 0.7)
-        assert np.array_equal(vec, np.ones(16))
+        carrier = np.exp(2j * np.pi * 1e10 * np.arange(16) * cfg.spacing * np.sin(0.7) / 3e8)
+        vec = fb.combined_angle_steering(cfg, self.ZERO, 0.7)
+        assert np.allclose(vec / carrier, np.ones(16), rtol=0, atol=1e-9)
 
     def test_fo_steering_quadratic_phase(self):
         cfg = fb.ArrayConfig(num_elements=16, carrier_freq=1e10, spacing=0.015,
                              pulse_duration=5e-6)
-        vec = fb.steering_fo_angle(cfg, fb.UniformPlan(10e6), np.pi / 2)
+        vec = fb.combined_angle_steering(cfg, fb.UniformPlan(10e6), np.pi / 2)
+        carrier = fb.combined_angle_steering(cfg, self.ZERO, np.pi / 2)
         # m = 15: 2*pi * 10e6 * 225 * 0.015 / 3e8 = 2*pi*0.1125
         expected = np.exp(2j * np.pi * 0.1125)
-        assert vec[15] == pytest.approx(expected)
+        assert vec[15] / carrier[15] == pytest.approx(expected)
 
     def test_time_steering_half_cycle(self):
         cfg = make_config(200e3)
@@ -91,16 +99,16 @@ class TestSteeringVectors:
         cfg = fb.ArrayConfig(num_elements=4, carrier_freq=1e10, spacing=0.015,
                              pulse_duration=5e-6)
         offsets = (0.0, 3e3, 1e3, 7e3)
-        vec = fb.steering_fo_angle(cfg, fb.TabulatedPlan(offsets=offsets), 0.5)
+        vec = fb.combined_angle_steering(cfg, fb.TabulatedPlan(offsets=offsets), 0.5)
         for m, off in enumerate(offsets):
-            expected = np.exp(2j * np.pi * off * m * 0.015 * np.sin(0.5) / 3e8)
+            expected = np.exp(2j * np.pi * (1e10 + off) * m * 0.015 * np.sin(0.5) / 3e8)
             assert vec[m] == pytest.approx(expected)
 
     def test_time_modulated_plan_rejected(self):
         cfg = make_config(0.0)
         plan = fb.TimeModulatedPlan(form="sqrt", rate=1e3)
         with pytest.raises(fb.UnsupportedPlanError):
-            fb.steering_fo_angle(cfg, plan, 0.1)
+            fb.combined_angle_steering(cfg, plan, 0.1)
         with pytest.raises(fb.UnsupportedPlanError):
             fb.steering_time(cfg, plan, 1e-6)
 
@@ -109,8 +117,8 @@ class TestSteeringVectors:
     def test_unit_modulus_and_first_entry(self, theta, delta_f):
         cfg = make_config(delta_f)
         plan = fb.UniformPlan(delta_f)
-        for vec in (fb.steering_angle(cfg, theta),
-                    fb.steering_fo_angle(cfg, plan, theta),
+        for vec in (fb.combined_angle_steering(cfg, self.ZERO, theta),
+                    fb.combined_angle_steering(cfg, plan, theta),
                     fb.steering_time(cfg, plan, 1.3e-6)):
             assert np.allclose(np.abs(vec), 1.0, atol=1e-12)
             assert vec[0] == 1.0 + 0.0j

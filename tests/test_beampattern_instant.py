@@ -104,16 +104,6 @@ class TestFieldExact:
             want = time_modulated_oracle(cfg200k, plan, w_t[i], bank, t[i], theta[j])
             assert got[i, j] == pytest.approx(want, rel=1e-10), (i, j)
 
-    def test_element_pattern_gain_scales(self, rect):
-        base = make_config(200e3)
-        scaled = fb.ArrayConfig(num_elements=16, carrier_freq=1e10, spacing=base.spacing,
-                                pulse_duration=5e-6, element_pattern_gain=2.5)
-        w = fb.uniform_weights(M)
-        pt = fb.EvalPoint(1e-6, 0.2)
-        a = fb.field_exact(base, fb.UniformPlan(200e3), w, rect, pt)
-        b = fb.field_exact(scaled, fb.UniformPlan(200e3), w, rect, pt)
-        assert b == pytest.approx(2.5 * a)
-
     def test_absolute_metadata_is_inert(self, cfg200k, rect):
         # range and absolute time enter only through t': identical bits out
         w = fb.uniform_weights(M)
@@ -337,10 +327,8 @@ def test_csv_artifact_text(tmp_path):
     writers = {
         "grid": (lambda p: grid_to_csv(grid, p),
                  "t_us,-45,0,60\n0,0.3333333333,1e-20,1.23456789e+10\n2.5,-0,0.5,2\n"),
-        "curve_db": (lambda p: curve_to_csv(theta, values, p, db=True),
+        "curve_db": (lambda p: curve_to_csv(theta, values, p),
                      "theta_deg,value_db\n-30,-6.020599913\n0,0\n30,-7.781512504\n"),
-        "curve": (lambda p: curve_to_csv(theta, values, p, db=False),
-                  "theta_deg,value\n-30,0.5\n0,2\n30,0.3333333333\n"),
         "trajectory": (lambda p: trajectory_to_csv(traj, p), "t_us,theta_deg\n0,10\n2,-5.5\n"),
         "covariance": (lambda p: covariance_to_csv(cov, p),
                        "1,0,0.25,0.3333333333\n0.25,-0.3333333333,1,0\n"),

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fdabeam import cli
 from fdabeam.beampattern_instant import grid_from_binary, grid_from_csv
@@ -204,8 +207,13 @@ class TestMainVerbs:
         ("time = 1 us", "time = 1e us"),
         ("time_samples = 16", "time_samples = 16\ntime_sample = 4"),
         ("[scan_report]", "[fitb_grids]\ntime_samples = 4\n\n[scan_report]"),
+        ("pulse = 5 us", "pulse = 1e400 us"),
+        ("carrier = 10 GHz", "carrier = 1e308 GHz"),
+        ("time = 1 us", "time = nan us"),
+        ("[scan_report]", "[waveforms]\nkind = chirp-bank\nrate_step = inf\n\n[scan_report]"),
     ], ids=["getint", "getboolean", "getint-float", "getfloat", "quantity", "unknown-key",
-            "unknown-section"])
+            "unknown-section", "infinite-quantity", "overflowing-quantity", "nan-quantity",
+            "infinite-getfloat"])
     def test_unparseable_value_exit_2(self, tmp_path, capsys, verb, old, new):
         path = tmp_path / "s.ini"
         path.write_text(SMALL_SCENARIO.replace(old, new))
@@ -250,7 +258,7 @@ class TestMainVerbs:
         ("[zero_time_cut]\nspacings = 2 cm, 2 CM\n",
          "'2 cm' and '2 CM' both write zero_time_cut_2_cm.csv"),
         ("[fitb_grid]\ntime_samples = 1000000000000\n",
-         "fitb_grid.time_samples: 1000000000000 samples need 1000000000000 cells"),
+         "fitb_grid.time_samples: 1000000000000 samples need 8000000000000 cells"),
         ("[fitb_grid]\nangle_samples = 1000000000000\n",
          "fitb_grid.angle_samples: 1000000000000 samples need 512000000000000 cells"),
         ("[legacy_grid]\nranges = 18 km\ntime_samples = 20000\n",
@@ -263,15 +271,36 @@ class TestMainVerbs:
          "fgtb_curve.angle_samples: 3000000 samples need 24000000 cells"),
         ("[mimo_compare]\nangle_samples = 1000000000000\n",
          "mimo_compare.angle_samples: 1000000000000 samples need 8000000000000 cells"),
+        ("[array]\nelements = 1000000000000\ncarrier = 10 GHz\npulse = 5 us\n[scan_report]\n",
+         "array.elements: 1000000000000 elements need 1000000000000 cells"),
+        ("[array]\nelements = 20000\ncarrier = 10 GHz\npulse = 5 us\n"
+         "[fitb_grid]\ntime_samples = 2\nangle_samples = 1024\n",
+         "fitb_grid.angle_samples: 1024 samples need 20480000 cells"),
+        ("[array]\nelements = 20000\ncarrier = 10 GHz\npulse = 5 us\n"
+         "[fitb_grid]\ntime_samples = 1024\nangle_samples = 2\n",
+         "fitb_grid.time_samples: 1024 samples need 20480000 cells"),
+        ("[fgtb_curve]\noffsets = 1 MHz, 100 GHz\n", "fgtb_curve.offsets: '100 GHz' and "),
+        ("[mimo_compare]\noffsets = 100 GHz\n", "mimo_compare.offsets: '100 GHz' and "),
+        ("[array]\nelements = 8\ncarrier = 0 Hz\npulse = 5 us\n[scan_report]\n",
+         "array: carrier_freq must be positive"),
+        ("[array]\nelements = 5\ncarrier = 10 GHz\npulse = 5 us\n"
+         "[plan]\noffset = -2.5 GHz\n[scan_report]\n",
+         "array: every element frequency f_c + m*offset must be positive"),
     ], ids=["tabulated-scan-report", "coded-zero-time-cut", "time-modulated-legacy-grid",
             "tabulated-schedule", "segment-beyond-pulse", "negative-weight-seed",
             "coded-closed-form", "fgtb-offset-collision", "mimo-offset-collision",
             "legacy-range-collision", "spacing-collision", "fitb-time-budget",
             "fitb-angle-budget", "legacy-time-budget", "schedule-angle-budget",
-            "zero-time-cut-budget", "fgtb-curve-budget", "mimo-compare-budget"])
+            "zero-time-cut-budget", "fgtb-curve-budget", "mimo-compare-budget",
+            "elements-budget", "elements-angle-budget", "elements-time-budget",
+            "fgtb-quadrature-budget", "mimo-quadrature-budget", "zero-carrier",
+            "nonpositive-element-frequency"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, verb, body, expected):
+        # a body without its own [array] section runs on an 8-element array
         path = tmp_path / "s.ini"
-        path.write_text("[array]\nelements = 8\ncarrier = 10 GHz\npulse = 5 us\n" + body)
+        array = "" if body.startswith("[array]") else \
+            "[array]\nelements = 8\ncarrier = 10 GHz\npulse = 5 us\n"
+        path.write_text(array + body)
         assert cli.main([verb, str(path)]) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
@@ -311,3 +340,58 @@ class TestPresetContents:
         assert len(curves) == 4
         header = (out / curves[0]).read_text().splitlines()[0]
         assert header == "theta_deg,value_db"
+
+
+# Element counts come from a small set, so that no drawn scenario allocates a large array.
+_ELEMENTS = ("1", "2", "5", "16", "1000000000000", "0", "-3", "2.5", "x")
+_SETUP_KEYS = {
+    "array": ("carrier", "pulse", "spacing", "wave_speed"),
+    "plan": ("type", "offset", "offsets", "coding", "seed", "form", "rate", "time_scale"),
+    "weights": ("type", "angle", "seed"),
+    "waveforms": ("kind", "bandwidth", "base_rate", "rate_step"),
+}
+_TOKENS = ("10 GHz", "5 us", "0", "0 Hz", "-2.5 GHz", "100 kHz", "1e400 us", "1e308 GHz", "inf",
+           "nan", "-1", "half-wavelength", "wavelength", "1.5 cm", "uniform", "coded",
+           "tabulated", "time-modulated", "steered", "random", "rect", "chirp-bank", "costas",
+           "logarithmic", "sqrt", "table", "60 deg", "90 deg", "0.5 rad", "7", "1, 2, 3 kHz")
+_VALUES = st.one_of(st.sampled_from(_TOKENS), st.text(max_size=12))
+_EVALUATIONS = ("[scan_report]\n",
+                "[fitb_grid]\ntime_samples = 2\nangle_samples = 2\n",
+                "[fgtb_curve]\noffsets = 0 Hz, 100 GHz\nangle_samples = 2\n")
+
+
+def _scenario_text(elements: str, setup: dict, evaluation: str) -> str:
+    lines = [f"[array]\nelements = {elements}"]
+    for section, values in setup.items():
+        if section != "array":
+            lines.append(f"[{section}]")
+        lines += [f"{key} = {value}" for key, value in values.items()]
+    return "\n".join(lines) + "\n" + evaluation
+
+
+_FINE = {"carrier": "10 GHz", "pulse": "5 us"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements=st.sampled_from(_ELEMENTS),
+       setup=st.fixed_dictionaries({
+           section: st.dictionaries(st.sampled_from(keys), _VALUES)
+           for section, keys in _SETUP_KEYS.items()}),
+       evaluation=st.sampled_from(_EVALUATIONS))
+@example(elements="1000000000000", setup={"array": _FINE}, evaluation=_EVALUATIONS[0])
+@example(elements="16", setup={"array": {**_FINE, "carrier": "0 Hz"}}, evaluation=_EVALUATIONS[0])
+@example(elements="5", setup={"array": _FINE, "plan": {"offset": "-2.5 GHz"}},
+         evaluation=_EVALUATIONS[0])
+@example(elements="16", setup={"array": {**_FINE, "pulse": "1e400 us"}},
+         evaluation=_EVALUATIONS[1])
+@example(elements="16", setup={"array": {**_FINE, "spacing": "1%"}}, evaluation=_EVALUATIONS[0])
+def test_load_scenario_returns_or_raises_a_scenario_error(elements, setup, evaluation):
+    "Any value text in the setup sections either loads as a finite scenario or is reported."
+    try:
+        sc = cli.load_scenario(_scenario_text(elements, setup, evaluation))
+    except (cli.ScenarioParseError, cli.ScenarioValidationError):
+        return
+    cfg = sc.config
+    assert 1 <= cfg.num_elements <= cli.MAX_CELLS
+    for value in (cfg.carrier_freq, cfg.spacing, cfg.pulse_duration, cfg.wave_speed):
+        assert 0 < value < math.inf
