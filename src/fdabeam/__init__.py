@@ -55,7 +55,6 @@ from .scan_analytics import (
 from .beampattern_integral import (
     CovarianceMatrix,
     EquivalenceComparison,
-    FlavorMismatchError,
     SamplingError,
     compare_fgtb_mimo,
     covariance,

@@ -100,7 +100,7 @@ class TimeModulatedPlan:
     Attributes:
         form: one of "sqrt", "cbrt", "arctan", "sinh", or "table"
         rate: offset scale in Hz (per unit element index, at unit argument)
-        time_scale: argument normalization in seconds
+        time_scale: argument normalization in seconds, positive for the analytic forms
         table_t: sample times for form="table"
         table_chi: per-element offset samples, shape (M, len(table_t)), in Hz
     """
@@ -114,6 +114,8 @@ class TimeModulatedPlan:
     def __post_init__(self):
         if self.form not in _TM_FORMS and self.form != "table":
             raise ValueError(f"unknown time-modulated form {self.form!r}")
+        if self.form != "table" and not 0 < self.time_scale < np.inf:
+            raise ValueError(f"time_scale must be positive and finite, got {self.time_scale}")
         if self.form == "table":
             if self.table_t is None or self.table_chi is None:
                 raise ValueError("form='table' requires table_t and table_chi")

@@ -3,8 +3,11 @@
 The integral beampattern measures the energy radiated toward each azimuth over
 one pulse.  It reduces to a quadratic form in the transmitted-waveform
 covariance matrix, which this module assembles by composite-trapezoid
-quadrature, either with the per-element offset phases inside the integral (the
-offset-array flavor) or from the bare basebands (the co-located MIMO flavor).
+quadrature with the per-element offset phases of a frequency plan inside the
+integral.  The co-located MIMO pattern is the same construction at zero
+offsets: its covariance is the UniformPlan(0.0) covariance of basebands that
+carry the offsets themselves (Stoica, Li & Xie, IEEE TSP 2007, for the
+covariance view a^H R a).
 """
 
 from __future__ import annotations
@@ -34,33 +37,21 @@ MIN_QUADRATURE_SAMPLES = 4096
 SAMPLES_PER_CYCLE = 8
 
 
-class FlavorMismatchError(ValueError):
-    "Raised when a beampattern is fed a covariance of the wrong flavor."
-
-
 class SamplingError(ValueError):
     "Raised when the quadrature grid undersamples the integrand."
 
 
 @dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
-    """M x M Hermitian waveform covariance with quadrature metadata.
-
-    flavor "fda" carries the offset phases exp(j*2*pi*(df_m - df_n)*t) inside
-    the integral; flavor "mimo" integrates the bare basebands.
-    """
+    "M x M Hermitian waveform covariance and the quadrature sample count behind it."
 
     entries: np.ndarray
-    flavor: str
     n_quadrature: int
-    rule: str = "trapezoid"
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"covariance must be square, got shape {e.shape}")
-        if self.flavor not in ("fda", "mimo"):
-            raise ValueError(f"unknown covariance flavor {self.flavor!r}")
         herm_err = np.abs(e - e.conj().T).max()
         if herm_err > HERMITIAN_TOL:
             raise ValueError(f"covariance is not Hermitian (max asymmetry {herm_err:.2e})")
@@ -82,16 +73,14 @@ class CovarianceMatrix:
 
 
 def _integrand_rate(waveforms: Sequence[BasebandWaveform],
-                    plan: FrequencyPlan | None, num_elements: int) -> float:
+                    plan: FrequencyPlan, num_elements: int) -> float:
     """Fastest frequency content of the covariance integrand in Hz.
 
     The widest baseband plus the extent of the offset set: M*delta_f for
-    uniform plans, the offset range for tabulated plans, 0 without a plan.
+    uniform plans, the offset range for tabulated plans.
     """
     b_max = max((wf.bandwidth + abs(wf.freq_offset) for wf in waveforms), default=0.0)
-    if plan is None:
-        span = 0.0
-    elif isinstance(plan, UniformPlan):
+    if isinstance(plan, UniformPlan):
         span = num_elements * abs(plan.delta_f)
     else:
         offsets = plan_offsets(plan, num_elements)
@@ -107,21 +96,20 @@ def _samples_for(pulse_duration: float, rate: float) -> int:
 
 def default_quadrature_samples(config: ArrayConfig,
                                waveforms: Sequence[BasebandWaveform],
-                               plan: FrequencyPlan | None = None) -> int:
+                               plan: FrequencyPlan) -> int:
     "Trapezoid sample count: at least 8 samples per fastest integrand cycle, floor 4096."
     return _samples_for(config.pulse_duration,
                         _integrand_rate(waveforms, plan, config.num_elements))
 
 
 def covariance(waveforms: Sequence[BasebandWaveform],
-               plan: FrequencyPlan | None,
-               flavor: str = "fda",
+               plan: FrequencyPlan,
                n_quadrature: int | None = None) -> CovarianceMatrix:
     """Waveform covariance by composite trapezoid quadrature over [0, T_p].
 
-    Entry (m, n) is the integral of s_m(t) * conj(s_n(t)) * exp(j*2*pi*(df_m - df_n)*t)
-    for flavor "fda", or without the offset exponential for flavor "mimo";
-    M is the number of waveforms.  The matrix is assembled as a weighted Gram
+    Entry (m, n) is the integral of s_m(t) * conj(s_n(t)) * exp(j*2*pi*(df_m - df_n)*t),
+    with df_m the plan's offsets for the M waveforms; UniformPlan(0.0) gives the
+    covariance of the bare basebands.  The matrix is assembled as a weighted Gram
     matrix, so it is Hermitian and positive semidefinite by construction.
     """
     waveforms = list(waveforms)
@@ -130,16 +118,7 @@ def covariance(waveforms: Sequence[BasebandWaveform],
     if any(wf.pulse_duration != tp for wf in waveforms):
         raise ValueError("all waveforms must share the pulse duration")
 
-    if flavor == "fda":
-        if plan is None:
-            raise ValueError("fda covariance requires a frequency plan")
-        offsets = plan_offsets(plan, m_count)
-    elif flavor == "mimo":
-        offsets = np.zeros(m_count)
-        plan = None  # the bare basebands carry no offset phases
-    else:
-        raise ValueError(f"unknown covariance flavor {flavor!r}")
-
+    offsets = plan_offsets(plan, m_count)
     rate = _integrand_rate(waveforms, plan, m_count)
     required = 2.0 * tp * rate
     if n_quadrature is None:
@@ -158,7 +137,7 @@ def covariance(waveforms: Sequence[BasebandWaveform],
     weights[-1] *= 0.5
     gram = (signals * weights) @ signals.conj().T
     gram = 0.5 * (gram + gram.conj().T)  # remove roundoff asymmetry
-    return CovarianceMatrix(entries=gram, flavor=flavor, n_quadrature=n_quadrature)
+    return CovarianceMatrix(entries=gram, n_quadrature=n_quadrature)
 
 
 def _steered_power(r: CovarianceMatrix, w: WeightVector | np.ndarray,
@@ -174,10 +153,7 @@ def fgtb(r: CovarianceMatrix, config: ArrayConfig, plan: FrequencyPlan,
 
     v pairs the conjugate weights with the full angle steering (carrier plus
     offset terms), matching the energy of the exactly summed element fields.
-    Requires an "fda"-flavor covariance.
     """
-    if r.flavor != "fda":
-        raise FlavorMismatchError("fgtb requires an fda-flavor covariance")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     steer = combined_angle_steering(config, plan, theta)
     return _steered_power(r, w, steer) / config.pulse_duration
@@ -188,10 +164,8 @@ def mimo_beampattern(r: CovarianceMatrix, config: ArrayConfig,
     """Co-located MIMO transmit beampattern v^H R v (no 1/T_p factor).
 
     v pairs the conjugate weights with the carrier-frequency steering only,
-    the angle steering at zero offsets; requires a "mimo"-flavor covariance.
+    the angle steering at zero offsets.
     """
-    if r.flavor != "mimo":
-        raise FlavorMismatchError("mimo_beampattern requires a mimo-flavor covariance")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     return _steered_power(r, w, combined_angle_steering(config, UniformPlan(0.0), theta))
 
@@ -239,13 +213,13 @@ def compare_fgtb_mimo(config: ArrayConfig, plan: UniformPlan,
 
     if n_quadrature is None:
         n_quadrature = default_quadrature_samples(config, list(waveforms), plan)
-    r_fda = covariance(waveforms, plan, "fda", n_quadrature)
-    r_mimo = covariance(mimo_wfs, None, "mimo", n_quadrature)
 
-    # fgtb() would divide by T_p before normalizing; normalize the unscaled
-    # form so the 0 Hz deviation stays exactly zero
-    raw_fgtb = _steered_power(r_fda, w, combined_angle_steering(config, plan, theta))
-    raw_mimo = mimo_beampattern(r_mimo, config, w, theta)
+    # MIMO is the zero-offset case of the same quadratic form; leaving out fgtb()'s
+    # 1/T_p before normalizing keeps the 0 Hz deviation exactly zero
+    raw_fgtb, raw_mimo = (
+        _steered_power(covariance(wfs, p, n_quadrature), w,
+                       combined_angle_steering(config, p, theta))
+        for wfs, p in ((waveforms, plan), (mimo_wfs, UniformPlan(0.0))))
     fgtb_norm = raw_fgtb / raw_fgtb.max()
     mimo_norm = raw_mimo / raw_mimo.max()
     return EquivalenceComparison(

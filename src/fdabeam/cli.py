@@ -32,6 +32,7 @@ from .array_model import (
     TimeModulatedPlan,
     UniformPlan,
     WeightVector,
+    plan_offsets,
     random_unimodular_weights,
     reference_wavelength,
     steered_weights,
@@ -412,8 +413,7 @@ def _run_fgtb_curve(sc: Scenario, params: dict, out: Path) -> list[Path]:
     theta = theta_grid(params["n_theta"])
     for off, tag in zip(params["offsets"], params["tags"]):
         plan = UniformPlan(off)
-        n_q = default_quadrature_samples(sc.config, sc.waveforms, plan)
-        r = covariance(sc.waveforms, plan, "fda", n_q)
+        r = covariance(sc.waveforms, plan)
         values = fgtb(r, sc.config, plan, sc.weights, theta)
         written.append(curve_to_csv(theta, values, out / f"fgtb_df{tag}.csv"))
         if params["covariance_csv"]:
@@ -484,7 +484,7 @@ def _parse_schedule(sec: configparser.SectionProxy, sc: Scenario) -> dict:
 def _run_schedule(sc: Scenario, params: dict, out: Path) -> list[Path]:
     schedule = params["schedule"]
     grid = schedule_playback_grid(sc.config, sc.plan.delta_f, schedule,
-                                  sc.waveforms[0], sc.weights, params["n_theta"])
+                                  sc.waveforms, sc.weights, params["n_theta"])
     written = _write_grid(grid, out, "schedule_grid", sc.formats)
     written.append(trajectory_to_csv(measure_peak_trajectory(grid),
                                      out / "schedule_trajectory.csv"))
@@ -519,7 +519,15 @@ _SECTIONS: dict[str, _Section] = {
     "schedule": _Section(("segmentN", "time_samples", "angle_samples"),
                          _parse_schedule, _run_schedule, uniform=True),
 }
-_SETUP_SECTIONS = ("scenario", "array", "plan", "weights", "waveforms", "outputs")
+# setup sections and the keys each reads
+_SETUP_SECTIONS: dict[str, tuple[str, ...]] = {
+    "scenario": ("preset", "name", "seed"),
+    "array": ("elements", "carrier", "pulse", "spacing", "wave_speed"),
+    "plan": ("type", "offset", "offsets", "coding", "seed", "form", "rate", "time_scale"),
+    "weights": ("type", "angle", "seed"),
+    "waveforms": ("kind", "bandwidth", "base_rate", "rate_step"),
+    "outputs": ("directory", "formats"),
+}
 
 
 def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
@@ -536,9 +544,13 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
         parser.read_string(base_text)
         parser.read_string(text)
 
+    known = {**_SETUP_SECTIONS, **{kind: spec.keys for kind, spec in _SECTIONS.items()}}
     for section in parser.sections():
-        if section not in _SECTIONS and section not in _SETUP_SECTIONS:
+        if section not in known:
             raise ScenarioParseError(f"unknown section [{section}]")
+        for key in parser[section]:
+            if re.sub(r"\d+$", "N", key) not in known[section]:
+                raise ScenarioParseError(f"{section}: unknown key {key!r}")
     if not parser.has_section("array"):
         raise ScenarioParseError("missing required [array] section")
     arr = parser["array"]
@@ -563,9 +575,9 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
             wave_speed=parse_quantity(arr.get("wave_speed", "3e8"), "array.wave_speed"),
         )
         plan = _parse_plan(parser, num_elements, seed)
-        if isinstance(plan, UniformPlan) and \
-                config.carrier_freq + (num_elements - 1) * plan.delta_f <= 0:
-            raise ValueError("every element frequency f_c + m*offset must be positive")
+        if not isinstance(plan, TimeModulatedPlan) and \
+                config.carrier_freq + plan_offsets(plan, num_elements).min() <= 0:
+            raise ValueError("every element frequency f_c + offset_m must be positive")
         config = replace(config, spacing=_resolve_spacing(
             arr.get("spacing", "half-wavelength"), config, plan, "array.spacing"))
     except ValueError as exc:
@@ -592,13 +604,9 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     for kind, spec in _SECTIONS.items():
         if not parser.has_section(kind):
             continue
-        sec = parser[kind]
-        for key in sec:
-            if re.sub(r"\d+$", "N", key) not in spec.keys:
-                raise ScenarioParseError(f"{kind}: unknown key {key!r}")
         if spec.uniform and not isinstance(plan, UniformPlan):
             raise ScenarioValidationError(f"{kind}: requires a uniform plan")
-        sc.evaluations.append((kind, spec.parse(sec, sc)))
+        sc.evaluations.append((kind, spec.parse(parser[kind], sc)))
     if not sc.evaluations:
         raise ScenarioParseError("scenario requests no evaluations "
                                  f"(add one of {', '.join(_SECTIONS)})")

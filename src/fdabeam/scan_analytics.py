@@ -321,7 +321,7 @@ def design_phase_schedule(config: ArrayConfig, delta_f: float,
 
 def schedule_playback_grid(config: ArrayConfig, delta_f: float,
                            schedule: PhaseSchedule,
-                           waveform: BasebandWaveform,
+                           waveforms: BasebandWaveform | Sequence[BasebandWaveform],
                            w: WeightVector | np.ndarray | None = None,
                            n_theta: int = 1024) -> BeampatternGrid:
     """Exact field magnitudes under the schedule's time-variant weights.
@@ -330,13 +330,14 @@ def schedule_playback_grid(config: ArrayConfig, delta_f: float,
     exp(-j*2*pi*m*phi(t')); with the engine's conjugate-weight convention the
     element phases become m*(delta_f*t' + phi(t') + f_c*d*sin(theta)/c) plus the
     quadratic offset term, so the mainlobe follows the designed itinerary.
+    waveforms is one envelope for every element or one per element.
     """
     m = config.element_index
     base = np.ones(config.num_elements, dtype=complex) if w is None \
         else as_weight_array(w, config.num_elements)
     th_axis = theta_grid(n_theta)
     w_t = base * np.exp(-2j * np.pi * m[None, :] * schedule.phi[:, None])  # (N_t, M)
-    values = np.abs(exact_field_matrix(config, UniformPlan(delta_f), w_t, waveform,
+    values = np.abs(exact_field_matrix(config, UniformPlan(delta_f), w_t, waveforms,
                                        schedule.t_grid, th_axis))
     return BeampatternGrid(schedule.t_grid, th_axis, values, "linear-magnitude")
 

@@ -256,7 +256,7 @@ def test_criterion_08_fgtb_regimes():
     # orthogonal regime: flat within 1 dB
     plan_b = fb.UniformPlan(b_s)
     n_q = default_quadrature_samples(cfg, bank, plan_b)
-    r_orth = fb.covariance(bank, plan_b, "fda", n_q)
+    r_orth = fb.covariance(bank, plan_b, n_q)
     theta = fb.theta_grid(721)
     flat = fb.fgtb(r_orth, cfg, plan_b, fb.uniform_weights(M), theta)
     ripple_db = 10 * np.log10(flat.max() / flat.min())
@@ -264,7 +264,7 @@ def test_criterion_08_fgtb_regimes():
 
     # coherent regime: identical waveforms, zero offset
     same = [bank[0]] * M
-    r_coh = fb.covariance(same, fb.UniformPlan(0.0), "fda", n_q)
+    r_coh = fb.covariance(same, fb.UniformPlan(0.0), n_q)
     coherent = fb.fgtb(r_coh, cfg, fb.UniformPlan(0.0), fb.uniform_weights(M), theta)
     ratio_db = 10 * np.log10(coherent.max() / flat.mean())
     assert ratio_db == pytest.approx(10 * np.log10(M), abs=0.5)
@@ -313,11 +313,11 @@ def test_criterion_10_covariance_properties():
     for delta_f in (0.0, 1e6, 10e6):
         plan = fb.UniformPlan(delta_f)
         n_q = default_quadrature_samples(cfg, bank, plan)
-        cases.append(fb.covariance(bank, plan, "fda", n_q))
-    cases.append(fb.covariance(bank, None, "mimo",
-                               default_quadrature_samples(cfg, bank)))
+        cases.append(fb.covariance(bank, plan, n_q))
+    cases.append(fb.covariance(bank, fb.UniformPlan(0.0),
+                               default_quadrature_samples(cfg, bank, fb.UniformPlan(0.0))))
     rect_bank = [RECT] * M
-    harmonic = fb.covariance(rect_bank, fb.UniformPlan(2 / TP), "fda", 4096)
+    harmonic = fb.covariance(rect_bank, fb.UniformPlan(2 / TP), 4096)
     cases.append(harmonic)
 
     for r in cases:

@@ -323,7 +323,7 @@ def test_csv_artifact_text(tmp_path):
     values = np.array([0.5, 2.0, 1 / 3])
     traj = fb.PeakTrajectory(t=np.array([0.0, 1e-6, 2e-6]), theta=np.radians([10.0, 20.0, -5.5]),
                              ambiguous=np.array([False, True, False]))
-    cov = fb.CovarianceMatrix(np.array([[1.0, 0.25 + 1j / 3], [0.25 - 1j / 3, 1.0]]), "mimo", 8)
+    cov = fb.CovarianceMatrix(np.array([[1.0, 0.25 + 1j / 3], [0.25 - 1j / 3, 1.0]]), 8)
     writers = {
         "grid": (lambda p: grid_to_csv(grid, p),
                  "t_us,-45,0,60\n0,0.3333333333,1e-20,1.23456789e+10\n2.5,-0,0.5,2\n"),

@@ -38,25 +38,25 @@ def rect_bank():
 
 class TestCovariance:
     def test_identical_pulses_zero_offset_all_ones(self, rect_bank):
-        r = fb.covariance(rect_bank, fb.UniformPlan(0.0), "fda", 4096)
+        r = fb.covariance(rect_bank, fb.UniformPlan(0.0), 4096)
         assert np.allclose(r.entries, 1.0, atol=1e-12)
 
     def test_harmonic_offsets_give_identity(self, rect_bank):
-        r = fb.covariance(rect_bank, fb.UniformPlan(1 / TP), "fda", 4096)
+        r = fb.covariance(rect_bank, fb.UniformPlan(1 / TP), 4096)
         assert np.allclose(r.entries, np.eye(M), atol=1e-6)
         assert r.max_off_diagonal() < 1e-12
 
     def test_unit_diagonal_for_unit_energy(self, cfg):
         bank = fb.make_chirp_bank(cfg)
         n_q = default_quadrature_samples(cfg, bank, fb.UniformPlan(10e6))
-        r = fb.covariance(bank, fb.UniformPlan(10e6), "fda", n_q)
+        r = fb.covariance(bank, fb.UniformPlan(10e6), n_q)
         assert np.abs(np.diag(r.entries) - 1.0).max() < 1e-6
 
     def test_hermitian_and_psd(self, cfg):
         bank = fb.make_chirp_bank(cfg)
         for delta_f in (0.0, 1e6, 10e6):
             n_q = default_quadrature_samples(cfg, bank, fb.UniformPlan(delta_f))
-            r = fb.covariance(bank, fb.UniformPlan(delta_f), "fda", n_q)
+            r = fb.covariance(bank, fb.UniformPlan(delta_f), n_q)
             assert np.abs(r.entries - r.entries.conj().T).max() <= 1e-10
             trace = np.real(np.trace(r.entries))
             assert np.linalg.eigvalsh(r.entries).min() >= -1e-8 * trace
@@ -65,7 +65,7 @@ class TestCovariance:
     def test_chirp_bank_orthogonal_regime_off_diagonals(self, cfg):
         bank = fb.make_chirp_bank(cfg)
         n_q = default_quadrature_samples(cfg, bank, fb.UniformPlan(10e6))
-        r = fb.covariance(bank, fb.UniformPlan(10e6), "fda", n_q)
+        r = fb.covariance(bank, fb.UniformPlan(10e6), n_q)
         worst = r.max_off_diagonal()
         print(f"chirp bank off-diagonal peak at delta_f = B: {worst:.4e}")
         assert worst < 0.05
@@ -73,35 +73,25 @@ class TestCovariance:
     def test_undersampling_rejected(self, cfg):
         bank = fb.make_chirp_bank(cfg)
         with pytest.raises(fb.SamplingError):
-            fb.covariance(bank, fb.UniformPlan(10e6), "fda", 64)
-
-    def test_mimo_flavor_ignores_plan(self, rect_bank):
-        a = fb.covariance(rect_bank, fb.UniformPlan(1 / TP), "mimo", 4096)
-        b = fb.covariance(rect_bank, None, "mimo", 4096)
-        assert np.array_equal(a.entries, b.entries)
-        assert np.allclose(a.entries, 1.0, atol=1e-12)
-
-    def test_bad_flavor(self, rect_bank):
-        with pytest.raises(ValueError):
-            fb.covariance(rect_bank, None, "sonar", 4096)
+            fb.covariance(bank, fb.UniformPlan(10e6), 64)
 
 
 class TestFgtb:
     def test_zero_weights(self, cfg, rect_bank):
-        r = fb.covariance(rect_bank, fb.UniformPlan(0.0), "fda", 4096)
+        r = fb.covariance(rect_bank, fb.UniformPlan(0.0), 4096)
         val = fb.fgtb(r, cfg, fb.UniformPlan(0.0), np.zeros(M, dtype=complex), 0.3)
         assert val[0] == 0.0
 
     def test_orthogonal_regime_flat_m_over_tp(self, cfg, rect_bank):
         plan = fb.UniformPlan(1 / TP)
-        r = fb.covariance(rect_bank, plan, "fda", 4096)
+        r = fb.covariance(rect_bank, plan, 4096)
         theta = fb.theta_grid(64)
         vals = fb.fgtb(r, cfg, plan, fb.uniform_weights(M), theta)
         assert np.allclose(vals, M / TP, rtol=1e-9)
 
     def test_coherent_regime_m_squared_over_tp(self, cfg, rect_bank):
         plan = fb.UniformPlan(0.0)
-        r = fb.covariance(rect_bank, plan, "fda", 4096)
+        r = fb.covariance(rect_bank, plan, 4096)
         val = fb.fgtb(r, cfg, plan, fb.uniform_weights(M), 0.0)
         assert val[0] == pytest.approx(M**2 / TP, rel=1e-9)
 
@@ -109,7 +99,7 @@ class TestFgtb:
         bank = fb.make_chirp_bank(cfg)
         plan = fb.UniformPlan(3e6)
         n_q = default_quadrature_samples(cfg, bank, plan)
-        r = fb.covariance(bank, plan, "fda", n_q)
+        r = fb.covariance(bank, plan, n_q)
         theta = fb.theta_grid(17)
         w = fb.random_unimodular_weights(M, seed=11)
         quad = fb.fgtb(r, cfg, plan, w, theta)
@@ -123,7 +113,7 @@ class TestFgtb:
         bank = fb.make_chirp_bank(cfg)
         plan = fb.UniformPlan(2e6)
         n_q = default_quadrature_samples(cfg, bank, plan)
-        r = fb.covariance(bank, plan, "fda", n_q)
+        r = fb.covariance(bank, plan, n_q)
         w = fb.random_unimodular_weights(M, seed=seed)
         vals = fb.fgtb(r, cfg, plan, w, fb.theta_grid(65))
         assert vals.min() >= -1e-12
@@ -134,7 +124,7 @@ class TestFgtb:
         bank = fb.make_chirp_bank(cfg)
         plan = fb.UniformPlan(delta_f)
         n_q = default_quadrature_samples(cfg, bank, plan)
-        r = fb.covariance(bank, plan, "fda", n_q)
+        r = fb.covariance(bank, plan, n_q)
         w = fb.random_unimodular_weights(M, seed=5)
         offsets = fb.plan_offsets(plan, M)
         for theta in np.radians([-70.0, -30.0, 0.0, 20.0, 55.0]):
@@ -147,17 +137,12 @@ class TestFgtb:
         plan = fb.TabulatedPlan(offsets=tuple(offsets))
         bank = fb.make_chirp_bank(cfg)
         n_q = default_quadrature_samples(cfg, bank, plan)
-        r = fb.covariance(bank, plan, "fda", n_q)
+        r = fb.covariance(bank, plan, n_q)
         w = fb.uniform_weights(M)
         for theta in np.radians([-45.0, 10.0]):
             got = fb.fgtb(r, cfg, plan, w, theta)[0]
             want = fgtb_direct_oracle(cfg, offsets, bank, w, theta, n_q)
             assert got == pytest.approx(want, rel=1e-6)
-
-    def test_flavor_mismatch(self, cfg, rect_bank):
-        r = fb.covariance(rect_bank, None, "mimo", 4096)
-        with pytest.raises(fb.FlavorMismatchError):
-            fb.fgtb(r, cfg, fb.UniformPlan(0.0), fb.uniform_weights(M), 0.0)
 
     def test_monotone_coherence_loss(self, cfg):
         # peak-to-mean ratio non-increasing through 0, 0.1B, 0.5B, B
@@ -167,7 +152,7 @@ class TestFgtb:
         for delta_f in (0.0, 1e6, 5e6, 10e6):
             plan = fb.UniformPlan(delta_f)
             n_q = default_quadrature_samples(cfg, bank, plan)
-            r = fb.covariance(bank, plan, "fda", n_q)
+            r = fb.covariance(bank, plan, n_q)
             vals = fb.fgtb(r, cfg, plan, fb.uniform_weights(M), theta)
             ratios.append(vals.max() / vals.mean())
         print("peak-to-mean ratios:", [f"{v:.3f}" for v in ratios])
@@ -178,7 +163,7 @@ class TestFgtb:
         bank = fb.make_chirp_bank(cfg)
         plan = fb.UniformPlan(10e6)
         n_q = default_quadrature_samples(cfg, bank, plan)
-        r = fb.covariance(bank, plan, "fda", n_q)
+        r = fb.covariance(bank, plan, n_q)
         vals = fb.fgtb(r, cfg, plan, fb.uniform_weights(M), fb.theta_grid(721))
         assert 10 * np.log10(vals.max() / vals.min()) < 1.0
 
@@ -189,7 +174,7 @@ class TestCovarianceCsv:
 
         bank = fb.make_chirp_bank(cfg)
         plan = fb.UniformPlan(1e6)
-        r = fb.covariance(bank, plan, "fda",
+        r = fb.covariance(bank, plan,
                           default_quadrature_samples(cfg, bank, plan))
         path = tmp_path / "cov.csv"
         covariance_to_csv(r, path)
@@ -204,19 +189,14 @@ class TestCovarianceCsv:
 class TestMimoBeampattern:
     def test_orthogonal_flat_norm_squared(self, cfg, rect_bank):
         shifted = [fb.with_freq_offset(wf, m / TP) for m, wf in enumerate(rect_bank)]
-        r = fb.covariance(shifted, None, "mimo", 8192)
+        r = fb.covariance(shifted, fb.UniformPlan(0.0), 8192)
         vals = fb.mimo_beampattern(r, cfg, fb.uniform_weights(M), fb.theta_grid(64))
         assert np.allclose(vals, M, rtol=1e-6)
 
     def test_coherent_boresight(self, cfg, rect_bank):
-        r = fb.covariance(rect_bank, None, "mimo", 4096)
+        r = fb.covariance(rect_bank, fb.UniformPlan(0.0), 4096)
         val = fb.mimo_beampattern(r, cfg, fb.uniform_weights(M), 0.0)
         assert val[0] == pytest.approx(M**2, rel=1e-9)
-
-    def test_flavor_mismatch(self, cfg, rect_bank):
-        r = fb.covariance(rect_bank, fb.UniformPlan(0.0), "fda", 4096)
-        with pytest.raises(fb.FlavorMismatchError):
-            fb.mimo_beampattern(r, cfg, fb.uniform_weights(M), 0.0)
 
 
 class TestEquivalenceBounds:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fdabeam as fb
 from fdabeam import cli
 from fdabeam.beampattern_instant import grid_from_binary, grid_from_csv
 from fdabeam.presets import PRESETS
+
+from conftest import field_oracle
 
 SMALL_SCENARIO = """\
 [scenario]
@@ -136,6 +140,26 @@ class TestExecution:
         names = {p.name for p in out.iterdir()}
         assert {"schedule_grid.csv", "schedule_trajectory.csv", "schedule_phase.csv"} <= names
 
+    def test_chirp_bank_schedule_plays_every_waveform(self, tmp_path):
+        # each element transmits its own chirp, so the grid matches the per-element sum
+        text = (
+            "[array]\nelements = 8\ncarrier = 10 GHz\npulse = 5 us\n"
+            "[plan]\ntype = uniform\noffset = 100 kHz\n"
+            "[waveforms]\nkind = chirp-bank\n"
+            "[schedule]\nsegment1 = 0 us, 5 us, 0 deg, 30 deg\n"
+            "time_samples = 16\nangle_samples = 32\n"
+        )
+        sc = cli.load_scenario(text)
+        out = cli.execute_scenario(sc, tmp_path / "out")
+        grid = grid_from_csv(out / "schedule_grid.csv")
+        phi = sc.evaluations[0][1]["schedule"].phi
+        offsets = fb.plan_offsets(sc.plan, 8)
+        m = np.arange(8)
+        want = np.array([[abs(field_oracle(sc.config, offsets, np.exp(-2j * np.pi * m * phi[i]),
+                                           sc.waveforms, t, th))
+                          for th in grid.theta_axis] for i, t in enumerate(grid.t_axis)])
+        assert np.abs(grid.values - want).max() <= 1e-8 * want.max()
+
     def test_out_env_override(self, tmp_path, monkeypatch):
         target = tmp_path / "env_out"
         monkeypatch.setenv(cli.OUT_ENV, str(target))
@@ -211,9 +235,14 @@ class TestMainVerbs:
         ("carrier = 10 GHz", "carrier = 1e308 GHz"),
         ("time = 1 us", "time = nan us"),
         ("[scan_report]", "[waveforms]\nkind = chirp-bank\nrate_step = inf\n\n[scan_report]"),
+        ("offset = 200 kHz", "ofset = 200 kHz"),
+        ("pulse = 5 us", "pulse = 5 us\npulses = 5 us"),
+        ("name = small", "name = small\nseeds = 1"),
+        ("[scan_report]", "[waveforms]\nkind = rect\nbandwith = 1 MHz\n\n[scan_report]"),
     ], ids=["getint", "getboolean", "getint-float", "getfloat", "quantity", "unknown-key",
             "unknown-section", "infinite-quantity", "overflowing-quantity", "nan-quantity",
-            "infinite-getfloat"])
+            "infinite-getfloat", "unknown-plan-key", "unknown-array-key",
+            "unknown-scenario-key", "unknown-waveforms-key"])
     def test_unparseable_value_exit_2(self, tmp_path, capsys, verb, old, new):
         path = tmp_path / "s.ini"
         path.write_text(SMALL_SCENARIO.replace(old, new))
@@ -285,7 +314,15 @@ class TestMainVerbs:
          "array: carrier_freq must be positive"),
         ("[array]\nelements = 5\ncarrier = 10 GHz\npulse = 5 us\n"
          "[plan]\noffset = -2.5 GHz\n[scan_report]\n",
-         "array: every element frequency f_c + m*offset must be positive"),
+         "array: every element frequency f_c + offset_m must be positive"),
+        ("[plan]\ntype = tabulated\noffsets = 0, -20 GHz, 0, 0, 0, 0, 0, 0\n[fitb_grid]\n",
+         "array: every element frequency f_c + offset_m must be positive"),
+        ("[plan]\ntype = coded\ncoding = square\noffset = -1 GHz\n[fitb_grid]\n",
+         "array: every element frequency f_c + offset_m must be positive"),
+        ("[plan]\ntype = time-modulated\ntime_scale = 0 us\n[fitb_grid]\n",
+         "plan: time_scale must be positive and finite"),
+        ("[plan]\ntype = time-modulated\ntime_scale = -1 us\n[fitb_grid]\n",
+         "plan: time_scale must be positive and finite"),
     ], ids=["tabulated-scan-report", "coded-zero-time-cut", "time-modulated-legacy-grid",
             "tabulated-schedule", "segment-beyond-pulse", "negative-weight-seed",
             "coded-closed-form", "fgtb-offset-collision", "mimo-offset-collision",
@@ -294,7 +331,8 @@ class TestMainVerbs:
             "zero-time-cut-budget", "fgtb-curve-budget", "mimo-compare-budget",
             "elements-budget", "elements-angle-budget", "elements-time-budget",
             "fgtb-quadrature-budget", "mimo-quadrature-budget", "zero-carrier",
-            "nonpositive-element-frequency"])
+            "nonpositive-element-frequency", "tabulated-nonpositive-frequency",
+            "coded-nonpositive-frequency", "zero-time-scale", "negative-time-scale"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, verb, body, expected):
         # a body without its own [array] section runs on an 8-element array
         path = tmp_path / "s.ini"
@@ -358,6 +396,7 @@ _VALUES = st.one_of(st.sampled_from(_TOKENS), st.text(max_size=12))
 _EVALUATIONS = ("[scan_report]\n",
                 "[fitb_grid]\ntime_samples = 2\nangle_samples = 2\n",
                 "[fgtb_curve]\noffsets = 0 Hz, 100 GHz\nangle_samples = 2\n")
+_RUN_EVALUATIONS = _EVALUATIONS[:2]  # cheap enough to run for every example that loads
 
 
 def _scenario_text(elements: str, setup: dict, evaluation: str) -> str:
@@ -385,8 +424,15 @@ _FINE = {"carrier": "10 GHz", "pulse": "5 us"}
 @example(elements="16", setup={"array": {**_FINE, "pulse": "1e400 us"}},
          evaluation=_EVALUATIONS[1])
 @example(elements="16", setup={"array": {**_FINE, "spacing": "1%"}}, evaluation=_EVALUATIONS[0])
+@example(elements="16", setup={"array": _FINE,
+                               "plan": {"type": "time-modulated", "time_scale": "0 us"}},
+         evaluation=_EVALUATIONS[1])
 def test_load_scenario_returns_or_raises_a_scenario_error(elements, setup, evaluation):
-    "Any value text in the setup sections either loads as a finite scenario or is reported."
+    """Any value text in the setup sections either loads as a finite scenario or is reported.
+
+    A scenario that loads also runs: without an exception, and (the suite turns
+    RuntimeWarning into an error) without a numerical warning.
+    """
     try:
         sc = cli.load_scenario(_scenario_text(elements, setup, evaluation))
     except (cli.ScenarioParseError, cli.ScenarioValidationError):
@@ -395,3 +441,6 @@ def test_load_scenario_returns_or_raises_a_scenario_error(elements, setup, evalu
     assert 1 <= cfg.num_elements <= cli.MAX_CELLS
     for value in (cfg.carrier_freq, cfg.spacing, cfg.pulse_duration, cfg.wave_speed):
         assert 0 < value < math.inf
+    if evaluation in _RUN_EVALUATIONS:
+        with tempfile.TemporaryDirectory() as out:
+            cli.execute_scenario(sc, out)
