@@ -9,7 +9,6 @@ from .array_model import (
     TimeModulatedPlan,
     UniformPlan,
     UnsupportedPlanError,
-    WeightVector,
     combined_angle_steering,
     plan_offsets,
     random_unimodular_weights,

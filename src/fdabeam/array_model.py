@@ -3,7 +3,8 @@
 Everything here is shared state for the beampattern engines: the physical
 configuration of the uniform linear transmit array, the per-element frequency
 offset plan, and the complex vectors built from them.  All containers are
-frozen dataclasses and safe to share across threads.
+frozen dataclasses and the weight constructors return read-only complex
+arrays, so everything is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -153,24 +154,6 @@ def plan_offsets(plan: FrequencyPlan, num_elements: int) -> np.ndarray:
     raise UnsupportedPlanError("time-modulated plans have no static offset vector")
 
 
-@dataclass(frozen=True, eq=False)
-class WeightVector:
-    "Complex beamformer weights."
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
-
-
 @dataclass(frozen=True)
 class EvalPoint:
     """Far-field evaluation point in retarded time t' = t - r/c and azimuth.
@@ -220,7 +203,12 @@ def combined_angle_steering(config: ArrayConfig, plan: FrequencyPlan, theta) -> 
                   * np.multiply.outer(np.sin(np.asarray(theta, dtype=float)), freq_m))
 
 
-def steered_weights(config: ArrayConfig, plan: FrequencyPlan, theta0: float) -> WeightVector:
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
+
+
+def steered_weights(config: ArrayConfig, plan: FrequencyPlan, theta0: float) -> np.ndarray:
     """Weights that put the zero-time mainlobe of the exact field at theta0.
 
     Returns w = combined_angle_steering(theta0); the exact field engine applies
@@ -231,22 +219,21 @@ def steered_weights(config: ArrayConfig, plan: FrequencyPlan, theta0: float) -> 
         raise UnsupportedPlanError("steered weights are defined for uniform plans")
     if abs(theta0) >= np.pi / 2:
         raise OutOfSectorError(f"steering angle {theta0} rad is outside (-pi/2, pi/2)")
-    return WeightVector(combined_angle_steering(config, plan, theta0))
+    return _read_only(combined_angle_steering(config, plan, theta0))
 
 
-def uniform_weights(num_elements: int) -> WeightVector:
+def uniform_weights(num_elements: int) -> np.ndarray:
     "All-ones weight vector."
-    return WeightVector(np.ones(num_elements, dtype=complex))
+    return _read_only(np.ones(num_elements, dtype=complex))
 
 
-def random_unimodular_weights(num_elements: int, seed: int) -> WeightVector:
+def random_unimodular_weights(num_elements: int, seed: int) -> np.ndarray:
     "Unit-modulus weights w_m = exp(j*2*pi*u_m) with u_m uniform on (0,1), seeded."
     rng = np.random.default_rng(seed)
-    return WeightVector(np.exp(2j * np.pi * rng.random(num_elements)))
+    return _read_only(np.exp(2j * np.pi * rng.random(num_elements)))
 
 
-def as_weight_array(w: WeightVector | Sequence[complex] | np.ndarray,
-                    num_elements: int) -> np.ndarray:
+def as_weight_array(w: Sequence[complex] | np.ndarray, num_elements: int) -> np.ndarray:
     "Coerce a weight argument to a length-M complex array."
     vals = np.asarray(w, dtype=complex)
     if vals.shape != (num_elements,):

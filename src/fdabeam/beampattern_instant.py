@@ -36,7 +36,6 @@ from .array_model import (
     TimeModulatedPlan,
     UniformPlan,
     UnsupportedPlanError,
-    WeightVector,
     combined_angle_steering,
     steering_time,
 )
@@ -166,7 +165,7 @@ def _time_modulated_field(config: ArrayConfig, plan: TimeModulatedPlan, columns:
 
 
 def exact_field_matrix(config: ArrayConfig, plan: FrequencyPlan,
-                       w: WeightVector | np.ndarray,
+                       w: np.ndarray,
                        waveforms: BasebandWaveform | Sequence[BasebandWaveform],
                        t_prime: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Exact complex field on the outer product of time and azimuth samples.
@@ -201,7 +200,7 @@ def exact_field_matrix(config: ArrayConfig, plan: FrequencyPlan,
 
 
 def field_exact(config: ArrayConfig, plan: FrequencyPlan,
-                w: WeightVector | np.ndarray,
+                w: np.ndarray,
                 waveforms: BasebandWaveform | Sequence[BasebandWaveform],
                 point: EvalPoint) -> complex:
     """Exact complex field at one evaluation point.
@@ -264,7 +263,7 @@ def legacy_array_factor(config: ArrayConfig, delta_f: float, t, r, theta) -> np.
 
 
 def sweep_grid(config: ArrayConfig, plan: FrequencyPlan,
-               w: WeightVector | np.ndarray,
+               w: np.ndarray,
                waveforms: BasebandWaveform | Sequence[BasebandWaveform],
                n_time: int = 512, n_theta: int = 1024,
                engine: str = "exact") -> BeampatternGrid:
@@ -342,8 +341,8 @@ def grid_from_csv(path: str | Path, normalization: str = "linear-magnitude") -> 
     return BeampatternGrid(np.asarray(t_axis), theta, np.asarray(rows), normalization)
 
 
-def grid_to_binary(grid: BeampatternGrid, path: str | Path) -> None:
-    """Row-major float64 dump with a fixed header.
+def grid_to_binary(grid: BeampatternGrid, path: str | Path) -> Path:
+    """Row-major float64 dump with a fixed header; returns the path.
 
     Header: 8-byte magic, uint32 N_t, uint32 N_theta, then float64 axis ranges
     (t0, t1, theta0, theta1); values follow in row-major order.
@@ -356,6 +355,7 @@ def grid_to_binary(grid: BeampatternGrid, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(grid.values, dtype="<f8").tobytes())
+    return path
 
 
 def grid_from_binary(path: str | Path, normalization: str = "linear-magnitude") -> BeampatternGrid:

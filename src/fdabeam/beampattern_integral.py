@@ -23,7 +23,6 @@ from .array_model import (
     ArrayConfig,
     FrequencyPlan,
     UniformPlan,
-    WeightVector,
     as_weight_array,
     combined_angle_steering,
     plan_offsets,
@@ -140,7 +139,7 @@ def covariance(waveforms: Sequence[BasebandWaveform],
     return CovarianceMatrix(entries=gram, n_quadrature=n_quadrature)
 
 
-def _steered_power(r: CovarianceMatrix, w: WeightVector | np.ndarray,
+def _steered_power(r: CovarianceMatrix, w: np.ndarray,
                    steer: np.ndarray) -> np.ndarray:
     "Re(v^H R v) for each row v = w * conj(a) of the (N, M) steering matrix."
     v = as_weight_array(w, r.num_elements)[None, :] * steer.conj()
@@ -148,7 +147,7 @@ def _steered_power(r: CovarianceMatrix, w: WeightVector | np.ndarray,
 
 
 def fgtb(r: CovarianceMatrix, config: ArrayConfig, plan: FrequencyPlan,
-         w: WeightVector | np.ndarray, theta) -> np.ndarray:
+         w: np.ndarray, theta) -> np.ndarray:
     """Pulse-integrated beampattern (1/T_p) * v^H R v at azimuth(s) theta.
 
     v pairs the conjugate weights with the full angle steering (carrier plus
@@ -160,7 +159,7 @@ def fgtb(r: CovarianceMatrix, config: ArrayConfig, plan: FrequencyPlan,
 
 
 def mimo_beampattern(r: CovarianceMatrix, config: ArrayConfig,
-                     w: WeightVector | np.ndarray, theta) -> np.ndarray:
+                     w: np.ndarray, theta) -> np.ndarray:
     """Co-located MIMO transmit beampattern v^H R v (no 1/T_p factor).
 
     v pairs the conjugate weights with the carrier-frequency steering only,
@@ -196,7 +195,7 @@ class EquivalenceComparison:
 
 def compare_fgtb_mimo(config: ArrayConfig, plan: UniformPlan,
                       waveforms: Sequence[BasebandWaveform],
-                      w: WeightVector | np.ndarray, theta,
+                      w: np.ndarray, theta,
                       n_quadrature: int | None = None) -> EquivalenceComparison:
     """Deviation between the integral beampattern and its MIMO construction.
 

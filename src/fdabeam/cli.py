@@ -31,7 +31,6 @@ from .array_model import (
     TabulatedPlan,
     TimeModulatedPlan,
     UniformPlan,
-    WeightVector,
     plan_offsets,
     random_unimodular_weights,
     reference_wavelength,
@@ -59,7 +58,6 @@ from .scan_analytics import (
     build_scan_report,
     design_phase_schedule,
     measure_peak_trajectory,
-    scan_report_to_text,
     schedule_playback_grid,
     trajectory_to_csv,
 )
@@ -149,6 +147,13 @@ def _check_cells(where: str, what: str, cells: int) -> None:
             f"{where}: {what} need {cells} cells, over the budget of {MAX_CELLS}")
 
 
+def _check_element_frequencies(where: str, config: ArrayConfig, plan: FrequencyPlan) -> None:
+    "Every element frequency f_c + offset_m of a static plan must be positive."
+    if config.carrier_freq + plan_offsets(plan, config.num_elements).min() <= 0:
+        raise ScenarioValidationError(
+            f"{where}: every element frequency f_c + offset_m must be positive")
+
+
 def _samples(sec: configparser.SectionProxy, key: str, fallback: int, *rows: int) -> int:
     """A grid sample count; every grid axis needs at least two samples.
 
@@ -168,7 +173,7 @@ class Scenario:
     name: str
     config: ArrayConfig
     plan: FrequencyPlan
-    weights: WeightVector
+    weights: np.ndarray
     waveforms: list
     evaluations: list[tuple[str, dict]] = field(default_factory=list)
     formats: tuple[str, ...] = ("csv",)
@@ -195,11 +200,8 @@ def _preset_text(name: str) -> str:
         raise ScenarioValidationError(exc.args[0]) from exc
 
 
-def _parse_plan(parser: configparser.ConfigParser, num_elements: int,
+def _parse_plan(sec: configparser.SectionProxy, num_elements: int,
                 default_seed: int | None) -> FrequencyPlan:
-    if not parser.has_section("plan"):
-        return UniformPlan(0.0)
-    sec = parser["plan"]
     kind = sec.get("type", "uniform").strip().lower()
     if kind == "uniform":
         return UniformPlan(parse_quantity(sec.get("offset", "0"), "plan.offset"))
@@ -233,11 +235,8 @@ def _parse_plan(parser: configparser.ConfigParser, num_elements: int,
     raise ScenarioParseError(f"plan: unknown type {kind!r}")
 
 
-def _parse_weights(parser: configparser.ConfigParser, config: ArrayConfig,
-                   plan: FrequencyPlan, default_seed: int | None) -> WeightVector:
-    if not parser.has_section("weights"):
-        return uniform_weights(config.num_elements)
-    sec = parser["weights"]
+def _parse_weights(sec: configparser.SectionProxy, config: ArrayConfig,
+                   plan: FrequencyPlan, default_seed: int | None) -> np.ndarray:
     kind = sec.get("type", "uniform").strip().lower()
     if kind == "uniform":
         return uniform_weights(config.num_elements)
@@ -260,10 +259,7 @@ def _parse_weights(parser: configparser.ConfigParser, config: ArrayConfig,
     raise ScenarioParseError(f"weights: unknown type {kind!r}")
 
 
-def _parse_waveforms(parser: configparser.ConfigParser, config: ArrayConfig) -> list:
-    if not parser.has_section("waveforms"):
-        return [rect_pulse(config.pulse_duration)] * config.num_elements
-    sec = parser["waveforms"]
+def _parse_waveforms(sec: configparser.SectionProxy, config: ArrayConfig) -> list:
     kind = sec.get("kind", "rect").strip().lower()
     if kind == "rect":
         bw = sec.get("bandwidth")
@@ -283,9 +279,7 @@ def _write_grid(grid, out: Path, stem: str, formats) -> list[Path]:
     if "csv" in formats:
         written.append(grid_to_csv(grid, out / f"{stem}.csv"))
     if "binary" in formats:
-        path = out / f"{stem}.bin"
-        grid_to_binary(grid, path)
-        written.append(path)
+        written.append(grid_to_binary(grid, out / f"{stem}.bin"))
     return written
 
 
@@ -360,6 +354,9 @@ def _parse_legacy_grid(sec: configparser.SectionProxy, sc: Scenario) -> dict:
     if not texts:
         raise ScenarioParseError("legacy_grid: needs a ranges list")
     ranges = [parse_quantity(v, "legacy_grid.ranges") for v in texts]
+    for text, r in zip(texts, ranges):
+        if r <= 0:
+            raise ScenarioValidationError(f"legacy_grid.ranges: {text!r} is not a positive range")
     n_time = _samples(sec, "time_samples", 256, sc.config.num_elements)
     return {
         "ranges": ranges,
@@ -391,6 +388,7 @@ def _parse_offsets(sec: configparser.SectionProxy, sc: Scenario) -> dict:
     texts = _parse_list(sec.get("offsets", "0"))
     offsets = [parse_quantity(v, f"{sec.name}.offsets") for v in texts]
     for text, off in zip(texts, offsets):  # each covariance samples M waveforms N_q times
+        _check_element_frequencies(f"{sec.name}.offsets {text!r}", sc.config, UniformPlan(off))
         n_q = default_quadrature_samples(sc.config, sc.waveforms, UniformPlan(off))
         _check_cells(f"{sec.name}.offsets", f"{text!r} and {n_q} quadrature samples",
                      sc.config.num_elements * n_q)
@@ -449,7 +447,7 @@ def _parse_scan_report(sec: configparser.SectionProxy, sc: Scenario) -> dict:
 def _run_scan_report(sc: Scenario, params: dict, out: Path) -> list[Path]:
     report = build_scan_report(sc.config, sc.plan.delta_f, params["t_eval"], params["k"])
     path = out / "scan_report.txt"
-    scan_report_to_text(report, path)
+    path.write_text(report.as_text())
     return [path]
 
 
@@ -551,6 +549,9 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
         for key in parser[section]:
             if re.sub(r"\d+$", "N", key) not in known[section]:
                 raise ScenarioParseError(f"{section}: unknown key {key!r}")
+    for section in ("plan", "weights", "waveforms"):  # an absent section reads as an empty one
+        if not parser.has_section(section):
+            parser.add_section(section)
     if not parser.has_section("array"):
         raise ScenarioParseError("missing required [array] section")
     arr = parser["array"]
@@ -574,17 +575,16 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
             pulse_duration=parse_quantity(arr["pulse"], "array.pulse"),
             wave_speed=parse_quantity(arr.get("wave_speed", "3e8"), "array.wave_speed"),
         )
-        plan = _parse_plan(parser, num_elements, seed)
-        if not isinstance(plan, TimeModulatedPlan) and \
-                config.carrier_freq + plan_offsets(plan, num_elements).min() <= 0:
-            raise ValueError("every element frequency f_c + offset_m must be positive")
+        plan = _parse_plan(parser["plan"], num_elements, seed)
+        if not isinstance(plan, TimeModulatedPlan):
+            _check_element_frequencies("array", config, plan)
         config = replace(config, spacing=_resolve_spacing(
             arr.get("spacing", "half-wavelength"), config, plan, "array.spacing"))
     except ValueError as exc:
         raise ScenarioValidationError(f"array: {exc}") from exc
 
-    weights = _parse_weights(parser, config, plan, seed)
-    waveforms = _parse_waveforms(parser, config)
+    weights = _parse_weights(parser["weights"], config, plan, seed)
+    waveforms = _parse_waveforms(parser["waveforms"], config)
 
     formats = ("csv",)
     out_dir = "out"

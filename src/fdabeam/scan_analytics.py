@@ -16,12 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .array_model import (
-    ArrayConfig,
-    UniformPlan,
-    WeightVector,
-    as_weight_array,
-)
+from .array_model import ArrayConfig, UniformPlan, as_weight_array
 from .beampattern_instant import BeampatternGrid, exact_field_matrix, theta_grid, write_csv
 from .waveform import BasebandWaveform
 
@@ -242,16 +237,6 @@ def measured_scan_volume(traj: PeakTrajectory, pulse_duration: float) -> float:
     return abs(slope) * pulse_duration
 
 
-@dataclass(frozen=True)
-class ScheduleSegment:
-    "One steering leg: hold or sweep the mainlobe across [theta_a, theta_b] during [t_a, t_b]."
-
-    t_a: float
-    t_b: float
-    theta_a: float
-    theta_b: float
-
-
 @dataclass(frozen=True, eq=False)
 class PhaseSchedule:
     """Sampled per-element phase plan phi(t') in cycles on a time grid.
@@ -261,7 +246,6 @@ class PhaseSchedule:
     itinerary the schedule was built for.
     """
 
-    segments: tuple[ScheduleSegment, ...]
     t_grid: np.ndarray
     phi: np.ndarray
     target_theta: np.ndarray
@@ -284,46 +268,43 @@ def design_phase_schedule(config: ArrayConfig, delta_f: float,
     segment the beam holds the first start angle, after a segment it holds that
     segment's end angle until the next one begins.
     """
-    segs = []
+    segs = []  # (t_a, t_b, theta_a, theta_b), sorted by start time below
     for (t_a, t_b), (th_a, th_b) in segments:
         if not (0.0 <= t_a < t_b <= config.pulse_duration):
             raise ValueError(f"segment times ({t_a}, {t_b}) must satisfy 0 <= t_a < t_b <= T_p")
         if max(abs(th_a), abs(th_b)) >= np.pi / 2:
             raise ValueError("segment angles must lie inside (-pi/2, pi/2)")
-        segs.append(ScheduleSegment(t_a, t_b, th_a, th_b))
-    segs.sort(key=lambda s: s.t_a)
+        segs.append((t_a, t_b, th_a, th_b))
+    segs.sort(key=lambda seg: seg[0])
     for prev, nxt in zip(segs, segs[1:]):
-        if nxt.t_a < prev.t_b:
-            raise ValueError(
-                f"segments overlap: [{prev.t_a}, {prev.t_b}] and [{nxt.t_a}, {nxt.t_b}]"
-            )
+        if nxt[0] < prev[1]:
+            raise ValueError(f"segments overlap: [{prev[0]}, {prev[1]}] and [{nxt[0]}, {nxt[1]}]")
     if not segs:
         raise ValueError("need at least one segment")
 
     t_grid = np.linspace(0.0, config.pulse_duration, n_time)
     target = np.empty(n_time)
     for i, t in enumerate(t_grid):
-        angle = segs[0].theta_a
-        for seg in segs:
-            if t < seg.t_a:
+        angle = segs[0][2]
+        for t_a, t_b, th_a, th_b in segs:
+            if t < t_a:
                 break
-            if t <= seg.t_b:
-                frac = (t - seg.t_a) / (seg.t_b - seg.t_a)
-                angle = seg.theta_a + frac * (seg.theta_b - seg.theta_a)
+            if t <= t_b:
+                frac = (t - t_a) / (t_b - t_a)
+                angle = th_a + frac * (th_b - th_a)
                 break
-            angle = seg.theta_b  # past this segment: hold its end angle
+            angle = th_b  # past this segment: hold its end angle
         target[i] = angle
     # phi in cycles: cancels the offset sweep and repoints the carrier phase slope
     phi = -delta_f * t_grid - (config.carrier_freq / config.wave_speed) \
         * config.spacing * np.sin(target)
-    return PhaseSchedule(segments=tuple(segs), t_grid=t_grid, phi=phi, target_theta=target)
+    return PhaseSchedule(t_grid=t_grid, phi=phi, target_theta=target)
 
 
 def schedule_playback_grid(config: ArrayConfig, delta_f: float,
                            schedule: PhaseSchedule,
                            waveforms: BasebandWaveform | Sequence[BasebandWaveform],
-                           w: WeightVector | np.ndarray | None = None,
-                           n_theta: int = 1024) -> BeampatternGrid:
+                           w: np.ndarray, n_theta: int = 1024) -> BeampatternGrid:
     """Exact field magnitudes under the schedule's time-variant weights.
 
     At each schedule sample the static weights are rotated by the extra phases
@@ -333,8 +314,7 @@ def schedule_playback_grid(config: ArrayConfig, delta_f: float,
     waveforms is one envelope for every element or one per element.
     """
     m = config.element_index
-    base = np.ones(config.num_elements, dtype=complex) if w is None \
-        else as_weight_array(w, config.num_elements)
+    base = as_weight_array(w, config.num_elements)
     th_axis = theta_grid(n_theta)
     w_t = base * np.exp(-2j * np.pi * m[None, :] * schedule.phi[:, None])  # (N_t, M)
     values = np.abs(exact_field_matrix(config, UniformPlan(delta_f), w_t, waveforms,
@@ -346,8 +326,3 @@ def trajectory_to_csv(traj: PeakTrajectory, path: str | Path) -> Path:
     "Two-column CSV (t_us, theta_deg); ambiguous rows are skipped."
     keep = ~traj.ambiguous
     return write_csv(path, "t_us,theta_deg", traj.t[keep] * 1e6, np.degrees(traj.theta[keep]))
-
-
-def scan_report_to_text(report: ScanReport, path: str | Path) -> None:
-    "Write the flat key = value table."
-    Path(path).write_text(report.as_text())

@@ -39,10 +39,6 @@ class BasebandWaveform:
             raise ValueError("pulse_duration must be positive")
 
     @property
-    def kind(self) -> str:
-        return "rect" if self.chirp_rate == 0.0 else "chirp"
-
-    @property
     def amplitude(self) -> float:
         "Normalization making the pulse unit energy."
         return 1.0 / np.sqrt(self.pulse_duration)
@@ -92,7 +88,7 @@ class FoCoding:
     """Frequency-offset coding scheme producing per-element offsets.
 
     Schemes: "random" (epsilon_m * scale, epsilon_m uniform on (0,1), seeded),
-    "costas" (c_m * scale from a Costas code table), "logarithmic"
+    "costas" (c_m * scale from DEFAULT_COSTAS_16, so at most 16 elements), "logarithmic"
     (ln(m+1) * scale), "square" (m^2 * scale).
 
     The logarithmic and square codings are monotone in m.  Their least-squares
@@ -105,7 +101,6 @@ class FoCoding:
     scheme: str
     scale: float
     seed: int | None = None
-    costas_code: tuple[int, ...] = DEFAULT_COSTAS_16
 
     def __post_init__(self):
         if self.scheme not in ("random", "costas", "logarithmic", "square"):
@@ -122,10 +117,9 @@ def generate_offsets(coding: FoCoding, num_elements: int) -> np.ndarray:
     if coding.scheme == "logarithmic":
         return np.log(m + 1.0) * coding.scale
     if coding.scheme == "costas":
-        if len(coding.costas_code) < num_elements:
-            raise ValueError(
-                f"Costas table of length {len(coding.costas_code)} cannot cover {num_elements} elements"
-            )
-        return np.asarray(coding.costas_code[:num_elements], dtype=float) * coding.scale
+        if len(DEFAULT_COSTAS_16) < num_elements:
+            raise ValueError(f"Costas table of length {len(DEFAULT_COSTAS_16)} "
+                             f"cannot cover {num_elements} elements")
+        return np.asarray(DEFAULT_COSTAS_16[:num_elements], dtype=float) * coding.scale
     rng = np.random.default_rng(coding.seed)
     return rng.random(num_elements) * coding.scale

@@ -170,6 +170,19 @@ class TestSteeredWeights:
         assert abs(peak - theta0_deg) <= np.degrees(np.pi / 1024) + 1e-9
 
 
+@pytest.mark.parametrize("make", [
+    fb.uniform_weights,
+    lambda m: fb.random_unimodular_weights(m, seed=3),
+    lambda m: fb.steered_weights(make_config(40e3, num_elements=m), fb.UniformPlan(40e3), 0.2),
+], ids=["uniform", "random", "steered"])
+def test_weight_constructors_return_read_only_complex_arrays(make):
+    # the time-modulated kernel reads the weights from worker threads
+    w = make(5)
+    assert type(w) is np.ndarray and w.dtype == complex and w.shape == (5,)
+    with pytest.raises(ValueError):
+        w[0] = 2.0
+
+
 class TestEvalPoint:
     def test_from_absolute(self):
         pt = fb.EvalPoint.from_absolute(t=60e-6, r=15e3, theta=0.1)

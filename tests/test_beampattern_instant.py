@@ -97,7 +97,7 @@ class TestFieldExact:
         bank = fb.make_chirp_bank(cfg200k)
         t = np.linspace(0.0, 5e-6, N_BLOCKS_T)
         theta = fb.theta_grid(N_THETA)
-        w_t = fb.random_unimodular_weights(t.size * M, seed=6).values.reshape(t.size, M)
+        w_t = fb.random_unimodular_weights(t.size * M, seed=6).reshape(t.size, M)
         got = exact_field_matrix(cfg200k, plan, w_t, bank, t, theta)
         rng = np.random.default_rng(7)
         for i, j in zip(rng.integers(0, t.size, 24), rng.integers(0, theta.size, 24)):
@@ -122,7 +122,7 @@ class TestFieldExact:
     def test_per_time_weights_match_row_calls(self, plan, cfg200k, rect):
         t = np.linspace(0.0, 5e-6, N_BLOCKS_T)
         theta = fb.theta_grid(N_THETA)
-        w_t = fb.random_unimodular_weights(t.size * M, seed=4).values.reshape(t.size, M)
+        w_t = fb.random_unimodular_weights(t.size * M, seed=4).reshape(t.size, M)
         got = exact_field_matrix(cfg200k, plan, w_t, rect, t, theta)
         rows = np.stack([exact_field_matrix(cfg200k, plan, w_t[i], rect, t[i:i + 1], theta)[0]
                          for i in range(t.size)])

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -323,6 +326,13 @@ class TestMainVerbs:
          "plan: time_scale must be positive and finite"),
         ("[plan]\ntype = time-modulated\ntime_scale = -1 us\n[fitb_grid]\n",
          "plan: time_scale must be positive and finite"),
+        ("[fgtb_curve]\noffsets = 1 MHz, -2 GHz\n",  # element 7 at 10 - 14 GHz
+         "fgtb_curve.offsets '-2 GHz': every element frequency f_c + offset_m must be positive"),
+        ("[mimo_compare]\noffsets = -2 GHz\n",
+         "mimo_compare.offsets '-2 GHz': every element frequency f_c + offset_m must be positive"),
+        ("[legacy_grid]\nranges = 18 km, -5 km\n",
+         "legacy_grid.ranges: '-5 km' is not a positive range"),
+        ("[legacy_grid]\nranges = 0 km\n", "legacy_grid.ranges: '0 km' is not a positive range"),
     ], ids=["tabulated-scan-report", "coded-zero-time-cut", "time-modulated-legacy-grid",
             "tabulated-schedule", "segment-beyond-pulse", "negative-weight-seed",
             "coded-closed-form", "fgtb-offset-collision", "mimo-offset-collision",
@@ -332,7 +342,9 @@ class TestMainVerbs:
             "elements-budget", "elements-angle-budget", "elements-time-budget",
             "fgtb-quadrature-budget", "mimo-quadrature-budget", "zero-carrier",
             "nonpositive-element-frequency", "tabulated-nonpositive-frequency",
-            "coded-nonpositive-frequency", "zero-time-scale", "negative-time-scale"])
+            "coded-nonpositive-frequency", "zero-time-scale", "negative-time-scale",
+            "fgtb-nonpositive-frequency", "mimo-nonpositive-frequency", "legacy-negative-range",
+            "legacy-zero-range"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, verb, body, expected):
         # a body without its own [array] section runs on an 8-element array
         path = tmp_path / "s.ini"
@@ -343,6 +355,17 @@ class TestMainVerbs:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("validation error") and expected in err
+
+    def test_cli_import_loads_no_thread_pool_or_logging(self):
+        # keeps the CLI's start-up light: the time-modulated kernel imports its pool lazily
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = ("import sys, fdabeam.cli; "
+                 "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_every_preset_validates(self):
         for name, (_, text) in PRESETS.items():

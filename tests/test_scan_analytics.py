@@ -242,7 +242,7 @@ class TestPhaseSchedule:
                                          [((0.0, 5e-6), (theta_hold, theta_hold))],
                                          n_time=64)
         grid = fb.schedule_playback_grid(cfg, delta_f, sched, fb.rect_pulse(5e-6),
-                                         n_theta=1024)
+                                         fb.uniform_weights(M), n_theta=1024)
         traj = fb.measure_peak_trajectory(grid)
         assert np.degrees(np.abs(traj.theta - theta_hold)).max() < 1.0
 
@@ -253,7 +253,7 @@ class TestPhaseSchedule:
             cfg, delta_f, [((0.0, 5e-6), (np.radians(-45.0), np.radians(45.0)))],
             n_time=128)
         grid = fb.schedule_playback_grid(cfg, delta_f, sched, fb.rect_pulse(5e-6),
-                                         n_theta=2048)
+                                         fb.uniform_weights(M), n_theta=2048)
         traj = fb.measure_peak_trajectory(grid)
         err = np.degrees(np.abs(traj.theta - sched.target_theta))
         assert err.max() < 1.0
@@ -265,7 +265,8 @@ class TestPhaseSchedule:
                                          n_time=32)
         # with delta_f = 0 the schedule reduces to a constant phased-array phase
         assert np.allclose(sched.phi, -(cfg.carrier_freq / 3e8) * cfg.spacing * np.sin(theta0))
-        grid = fb.schedule_playback_grid(cfg, 0.0, sched, fb.rect_pulse(5e-6), n_theta=1024)
+        grid = fb.schedule_playback_grid(cfg, 0.0, sched, fb.rect_pulse(5e-6),
+                                         fb.uniform_weights(M), n_theta=1024)
         traj = fb.measure_peak_trajectory(grid)
         assert np.degrees(np.abs(traj.theta - theta0)).max() < 0.5
 

@@ -102,8 +102,9 @@ class TestFoCoding:
         assert np.array_equal(offs, np.array(fb.DEFAULT_COSTAS_16) * 5e3)
 
     def test_costas_table_too_short(self):
+        # the default table covers 16 elements
         with pytest.raises(ValueError):
-            fb.generate_offsets(fb.FoCoding("costas", 5e3, costas_code=(1, 2, 3)), 16)
+            fb.generate_offsets(fb.FoCoding("costas", 5e3), 17)
 
     def test_costas_property_of_default_table(self):
         # all displacement vectors distinct: Costas condition
