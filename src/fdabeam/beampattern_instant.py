@@ -14,7 +14,9 @@ t' = t - r/c and azimuth theta:
 Element m's phases have one definition, shared with the integral pattern:
 2*pi*delta_f_m*t' (``array_model.steering_time``) plus
 2*pi*(f_c+delta_f_m)*m*d*sin(theta)/c (``array_model.combined_angle_steering``).
-Time-modulated plans alone replace the offset terms, inside the exact engine.
+Time-modulated plans alone replace the offset terms, inside the exact engine,
+which sums them element by element: each phase is reduced exactly to a
+fraction of a cycle and turned into its phasor with one tangent.
 Carrier and 1/r factors are constant-modulus and excluded throughout; pattern
 values are field magnitudes up to a positive constant.
 """
@@ -117,14 +119,37 @@ def _waveform_list(waveforms, num_elements: int) -> list[BasebandWaveform]:
     return wl
 
 
+def _cycle_phasor(cycles: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write exp(2j*pi*cycles) into the complex array out; cycles and scratch are overwritten.
+
+    r = cycles - rint(cycles) is exact (Sterbenz) and lies in [-1/2, 1/2], so no
+    cycle count is rounded by a multiplication with 2*pi.  With t = tan(pi*r)
+    and u = 2/(1+t^2), the half-angle identities give cos(2*pi*r) = u - 1 and
+    sin(2*pi*r) = t*u: one tangent per cell in place of a cosine and a sine.
+    At r = +-1/2, t is about +-1.6e16 and the phasor is still -1 to within
+    one ulp, with no overflow.
+    """
+    np.rint(cycles, out=scratch)
+    cycles -= scratch
+    cycles *= np.pi
+    t = np.tan(cycles, out=cycles)
+    u = np.multiply(t, t, out=scratch)
+    u += 1.0
+    np.divide(2.0, u, out=u)
+    np.subtract(u, 1.0, out=out.real)
+    np.multiply(t, u, out=out.imag)
+
+
 def _time_modulated_field(config: ArrayConfig, plan: TimeModulatedPlan, columns: np.ndarray,
                           t_prime: np.ndarray, delay: np.ndarray) -> np.ndarray:
     """Element sum for time-modulated offsets, filled in row blocks.
 
     columns[i, m] is element m's envelope times conjugate weight at t_i, and
-    delay[m, j] = m*d*sin(theta_j)/c.  Each block reuses its own buffers, and
-    every cell's arithmetic is independent of the block size and of the
-    thread that fills it.
+    delay[m, j] = m*d*sin(theta_j)/c.  Element m's phase in cycles,
+    chi_m(tau)*tau + f_c*delay[m, j], becomes its phasor through
+    ``_cycle_phasor``: one exact reduction to [-1/2, 1/2] and one tangent per
+    cell.  Each block reuses its own buffers, and every cell's arithmetic is
+    independent of the block size and of the thread that fills it.
     """
     n_t, n_theta = t_prime.size, delay.shape[1]
     rows = max(1, BLOCK_CELLS // n_theta)
@@ -135,15 +160,14 @@ def _time_modulated_field(config: ArrayConfig, plan: TimeModulatedPlan, columns:
         t = t_prime[start:start + rows, None]
         acc = field[start:start + rows]
         tau = np.empty(acc.shape)
-        phase = np.empty(acc.shape)
+        cycles = np.empty(acc.shape)
+        scratch = np.empty(acc.shape)
         term = np.empty(acc.shape, dtype=complex)
         for mi in range(delay.shape[0]):
             np.add(t, delay[mi], out=tau)
-            np.multiply(plan.chi(mi, tau), tau, out=phase)
-            phase += carrier_delay[mi]
-            phase *= 2.0 * np.pi
-            np.cos(phase, out=term.real)
-            np.sin(phase, out=term.imag)
+            np.multiply(plan.chi(mi, tau), tau, out=cycles)
+            cycles += carrier_delay[mi]
+            _cycle_phasor(cycles, term, scratch)
             term *= columns[start:start + rows, mi, None]
             acc += term
 

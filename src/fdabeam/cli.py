@@ -154,6 +154,30 @@ def _check_element_frequencies(where: str, config: ArrayConfig, plan: FrequencyP
             f"{where}: every element frequency f_c + offset_m must be positive")
 
 
+MAX_PHASE_CYCLES = 2.0 ** 52
+"Phase magnitude in cycles from which float64 holds no fraction of a cycle."
+
+
+def _check_phase_cycles(config: ArrayConfig, plan: TimeModulatedPlan) -> None:
+    """Every element's phase chi_m(tau)*tau must be finite and below MAX_PHASE_CYCLES.
+
+    The engine evaluates it for tau in [-(M-1)d/c, T_p + (M-1)d/c].  For the
+    analytic forms |chi_m(tau)*tau| = |m*rate|*|g(x)*x|*time_scale with
+    x = tau/time_scale does not fall as |tau| or m grows, so the ends of that
+    range bound it at the last element; element 0 is checked next, because
+    0*rate*g(x) is not finite where g(x) overflows.
+    """
+    reach = (config.num_elements - 1) * config.spacing / config.wave_speed
+    tau = np.array([-reach, config.pulse_duration + reach])
+    for m in (config.num_elements - 1, 0):
+        with np.errstate(all="ignore"):
+            cycles = np.abs(plan.chi(m, tau) * tau).max()
+        if not cycles < MAX_PHASE_CYCLES:
+            raise ScenarioValidationError(
+                f"plan: element {m}'s time-modulated phase reaches {cycles:g} cycles within "
+                f"the pulse; it must be finite and below 2**52 cycles")
+
+
 def _samples(sec: configparser.SectionProxy, key: str, fallback: int, *rows: int) -> int:
     """A grid sample count; every grid axis needs at least two samples.
 
@@ -328,10 +352,16 @@ def _run_fitb_grid(sc: Scenario, params: dict, out: Path) -> list[Path]:
 def _parse_zero_time_cut(sec: configparser.SectionProxy, sc: Scenario) -> dict:
     tokens = (_parse_list(sec.get("spacings", ""))
               or [sec.parser["array"].get("spacing", "half-wavelength")])
+    configs = []
+    for tok in tokens:
+        spacing = _resolve_spacing(tok, sc.config, sc.plan, "zero_time_cut.spacings")
+        try:
+            configs.append(replace(sc.config, spacing=spacing))
+        except ValueError as exc:
+            raise ScenarioValidationError(f"zero_time_cut.spacings: {tok!r}: {exc}") from exc
     return {
         "n_theta": _samples(sec, "angle_samples", 4096, sc.config.num_elements),
-        "spacings": [_resolve_spacing(tok, sc.config, sc.plan, "zero_time_cut.spacings")
-                     for tok in tokens],
+        "configs": configs,
         "tags": _unique_tags(
             "zero_time_cut.spacings", tokens,
             [re.sub(r"[^a-z0-9]+", "_", tok.lower()).strip("_") for tok in tokens],
@@ -342,8 +372,8 @@ def _parse_zero_time_cut(sec: configparser.SectionProxy, sc: Scenario) -> dict:
 def _run_zero_time_cut(sc: Scenario, params: dict, out: Path) -> list[Path]:
     written = []
     theta = theta_grid(params["n_theta"])
-    for tag, spacing in zip(params["tags"], params["spacings"]):
-        values = zero_time_cut(replace(sc.config, spacing=spacing), sc.plan.delta_f, theta)
+    for tag, config in zip(params["tags"], params["configs"]):
+        values = zero_time_cut(config, sc.plan.delta_f, theta)
         written.append(write_csv(out / f"zero_time_cut_{tag}.csv", "theta_deg,value",
                                  np.degrees(theta), values))
     return written
@@ -582,6 +612,8 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
             arr.get("spacing", "half-wavelength"), config, plan, "array.spacing"))
     except ValueError as exc:
         raise ScenarioValidationError(f"array: {exc}") from exc
+    if isinstance(plan, TimeModulatedPlan):
+        _check_phase_cycles(config, plan)
 
     weights = _parse_weights(parser["weights"], config, plan, seed)
     waveforms = _parse_waveforms(parser["waveforms"], config)

@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 import fdabeam as fb
 from fdabeam.beampattern_instant import (
     BLOCK_CELLS,
+    _cycle_phasor,
     exact_field_matrix,
     grid_from_binary,
     grid_from_csv,
@@ -87,11 +91,13 @@ class TestFieldExact:
         fb.TimeModulatedPlan(form="cbrt", rate=50e3, time_scale=1e-6),
         fb.TimeModulatedPlan(form="arctan", rate=50e3, time_scale=1e-6),
         fb.TimeModulatedPlan(form="sinh", rate=20e3, time_scale=1e-6),
+        # about 1.7e4 cycles at the pulse end on the last element
+        fb.TimeModulatedPlan(form="sinh", rate=20e3, time_scale=0.5e-6),
         fb.TimeModulatedPlan(
             form="table", table_t=tuple(np.linspace(0.0, 5e-6, 11)),
             table_chi=tuple(tuple(row) for row in
                             np.random.default_rng(5).uniform(-1e6, 1e6, (M, 11)))),
-    ], ids=["sqrt", "cbrt", "arctan", "sinh", "table"])
+    ], ids=["sqrt", "cbrt", "arctan", "sinh", "sinh-large-phase", "table"])
     def test_time_modulated_grid_against_oracle(self, plan, cfg200k):
         # a grid of several row blocks, per-element chirps and per-time weights
         bank = fb.make_chirp_bank(cfg200k)
@@ -103,6 +109,19 @@ class TestFieldExact:
         for i, j in zip(rng.integers(0, t.size, 24), rng.integers(0, theta.size, 24)):
             want = time_modulated_oracle(cfg200k, plan, w_t[i], bank, t[i], theta[j])
             assert got[i, j] == pytest.approx(want, rel=1e-10), (i, j)
+
+    def test_cycle_phasor_edge_cases(self):
+        # integers, half-integers, near +-1/4, negatives and counts far beyond one cycle
+        quarter = np.nextafter(0.25, 1.0)
+        cycles = np.array([0.0, 1.0, -3.0, 2.0**40, 0.5, -0.5, 7.5, -7.5, 2.0**40 + 0.5,
+                           0.25, -0.25, quarter, -quarter, 1.25, -2.75, 2.0**40 + 0.25,
+                           -(2.0**40) - 0.25, 1e-300, -0.123456789, 12345.678, -2.0**51 + 0.5])
+        out = np.empty(cycles.shape, dtype=complex)
+        with np.errstate(all="raise", under="ignore"):  # t*t underflows harmlessly at 1e-300
+            _cycle_phasor(cycles.copy(), out, np.empty(cycles.shape))
+        for c, got in zip(cycles.tolist(), out.tolist()):
+            r = c - round(c)  # exact; round() and rint both round half to even
+            assert abs(got - cmath.exp(2j * math.pi * r)) <= 4 * np.finfo(float).eps, c
 
     def test_absolute_metadata_is_inert(self, cfg200k, rect):
         # range and absolute time enter only through t': identical bits out

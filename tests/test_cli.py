@@ -333,6 +333,14 @@ class TestMainVerbs:
         ("[legacy_grid]\nranges = 18 km, -5 km\n",
          "legacy_grid.ranges: '-5 km' is not a positive range"),
         ("[legacy_grid]\nranges = 0 km\n", "legacy_grid.ranges: '0 km' is not a positive range"),
+        ("[zero_time_cut]\nspacings = 2 cm, -1 cm\n",
+         "zero_time_cut.spacings: '-1 cm': spacing must be positive and finite"),
+        ("[plan]\ntype = time-modulated\nform = sinh\nrate = 50 kHz\ntime_scale = 1 ns\n"
+         "[fitb_grid]\n",  # sinh(5000) overflows
+         "plan: element 7's time-modulated phase reaches inf cycles"),
+        ("[plan]\ntype = time-modulated\nform = sinh\nrate = 50 kHz\ntime_scale = 100 ns\n"
+         "[fitb_grid]\n",  # finite, but no fraction of a cycle is left at the pulse end
+         "plan: element 7's time-modulated phase reaches 4.55284e+21 cycles"),
     ], ids=["tabulated-scan-report", "coded-zero-time-cut", "time-modulated-legacy-grid",
             "tabulated-schedule", "segment-beyond-pulse", "negative-weight-seed",
             "coded-closed-form", "fgtb-offset-collision", "mimo-offset-collision",
@@ -344,7 +352,8 @@ class TestMainVerbs:
             "nonpositive-element-frequency", "tabulated-nonpositive-frequency",
             "coded-nonpositive-frequency", "zero-time-scale", "negative-time-scale",
             "fgtb-nonpositive-frequency", "mimo-nonpositive-frequency", "legacy-negative-range",
-            "legacy-zero-range"])
+            "legacy-zero-range", "zero-time-cut-negative-spacing", "time-modulated-phase-overflow",
+            "time-modulated-phase-beyond-2-52"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, verb, body, expected):
         # a body without its own [array] section runs on an 8-element array
         path = tmp_path / "s.ini"

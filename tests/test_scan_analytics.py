@@ -170,6 +170,15 @@ class TestTrajectory:
         assert not traj.ambiguous.any()
         assert np.degrees(np.abs(traj.theta - np.radians(25.0))).max() < np.degrees(np.pi / 1024)
 
+    def test_rows_below_half_the_peak_are_ambiguous(self):
+        # one lobe per row at 1.0, 0.4, 0.5 and 0.6 of the grid peak
+        theta = fb.theta_grid(64)
+        lobe = np.exp(-0.5 * ((theta - 0.3) / 0.05) ** 2)
+        grid = fb.BeampatternGrid(np.arange(4.0), theta,
+                                  np.outer([1.0, 0.4, 0.5, 0.6], lobe))
+        traj = fb.measure_peak_trajectory(grid)
+        assert traj.ambiguous.tolist() == [False, True, False, False]
+
     def test_slope_matches_speed_law(self):
         delta_f = 200e3
         cfg = make_config(delta_f)
