@@ -82,8 +82,14 @@ class TabulatedPlan:
         object.__setattr__(self, "offsets", tuple(float(v) for v in self.offsets))
 
 
-_TM_FORMS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "sqrt": lambda x: np.sqrt(np.maximum(x, 0.0)),
+def _sqrt_clamped(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    "sqrt(max(x, 0)): the sqrt form is zero for negative arguments."
+    return np.sqrt(np.maximum(x, 0.0, out=out), out=out)
+
+
+# each form g(x) writes into out, which may be x itself
+_TM_FORMS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
+    "sqrt": _sqrt_clamped,
     "cbrt": np.cbrt,
     "arctan": np.arctan,
     "sinh": np.sinh,
@@ -126,12 +132,22 @@ class TimeModulatedPlan:
                 raise ValueError(f"every table_chi row needs {len(self.table_t)} samples, "
                                  "one per table_t entry")
 
-    def chi(self, m: int, tau) -> np.ndarray:
-        "Instantaneous frequency offset of element m at local time tau (Hz)."
+    def chi(self, m: int, tau, out: np.ndarray | None = None) -> np.ndarray:
+        """Instantaneous frequency offset of element m at local time tau (Hz).
+
+        With out, a float array of tau's shape, the offsets are written into it
+        and out is returned; without it, a scalar tau gives a scalar.  The
+        analytic forms compute m*rate*g(tau/time_scale) with no temporaries.
+        """
         tau = np.asarray(tau, dtype=float)
+        # without out, a fresh buffer: 0-d for a scalar tau, as in-place ufuncs need an array
+        x = np.empty(tau.shape) if out is None else out
         if self.form == "table":
-            return np.interp(tau, np.asarray(self.table_t), np.asarray(self.table_chi[m]))
-        return m * self.rate * _TM_FORMS[self.form](tau / self.time_scale)
+            x[...] = np.interp(tau, np.asarray(self.table_t), np.asarray(self.table_chi[m]))
+        else:
+            np.divide(tau, self.time_scale, out=x)
+            np.multiply(m * self.rate, _TM_FORMS[self.form](x, x), out=x)
+        return x if out is not None else x[()]
 
 
 FrequencyPlan = Union[UniformPlan, TabulatedPlan, TimeModulatedPlan]

@@ -96,10 +96,12 @@ class BeampatternGrid:
         peak = self.values.max()
         if peak <= 0:
             raise ValueError("cannot scale an all-zero grid to dB")
+        db = np.divide(self.values, peak)  # the one new array: the steps below write into it
         with np.errstate(divide="ignore"):
-            db = 20.0 * np.log10(self.values / peak)
-        return BeampatternGrid(self.t_axis, self.theta_axis,
-                               np.maximum(db, DB_FLOOR), "dB-rel-peak")
+            np.log10(db, out=db)
+        db *= 20.0
+        np.maximum(db, DB_FLOOR, out=db)
+        return BeampatternGrid(self.t_axis, self.theta_axis, db, "dB-rel-peak")
 
 
 def theta_grid(n_theta: int) -> np.ndarray:
@@ -120,14 +122,14 @@ def _waveform_list(waveforms, num_elements: int) -> list[BasebandWaveform]:
 
 
 def _cycle_phasor(cycles: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Write exp(2j*pi*cycles) into the complex array out; cycles and scratch are overwritten.
+    """Write exp(2j*pi*cycles) + 1 into the complex array out; cycles and scratch are overwritten.
 
     r = cycles - rint(cycles) is exact (Sterbenz) and lies in [-1/2, 1/2], so no
     cycle count is rounded by a multiplication with 2*pi.  With t = tan(pi*r)
-    and u = 2/(1+t^2), the half-angle identities give cos(2*pi*r) = u - 1 and
-    sin(2*pi*r) = t*u: one tangent per cell in place of a cosine and a sine.
-    At r = +-1/2, t is about +-1.6e16 and the phasor is still -1 to within
-    one ulp, with no overflow.
+    and u = 2/(1+t^2), the half-angle identities give cos(2*pi*r) + 1 = u and
+    sin(2*pi*r) = t*u: one tangent per cell in place of a cosine and a sine,
+    and no pass to subtract the 1, which the caller removes once per sum.
+    At r = +-1/2, t is about +-1.6e16 and u is about 1e-32, with no overflow.
     """
     np.rint(cycles, out=scratch)
     cycles -= scratch
@@ -135,9 +137,8 @@ def _cycle_phasor(cycles: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> N
     t = np.tan(cycles, out=cycles)
     u = np.multiply(t, t, out=scratch)
     u += 1.0
-    np.divide(2.0, u, out=u)
-    np.subtract(u, 1.0, out=out.real)
-    np.multiply(t, u, out=out.imag)
+    np.divide(2.0, u, out=out.real)
+    np.multiply(t, out.real, out=out.imag)
 
 
 def _time_modulated_field(config: ArrayConfig, plan: TimeModulatedPlan, columns: np.ndarray,
@@ -146,9 +147,11 @@ def _time_modulated_field(config: ArrayConfig, plan: TimeModulatedPlan, columns:
 
     columns[i, m] is element m's envelope times conjugate weight at t_i, and
     delay[m, j] = m*d*sin(theta_j)/c.  Element m's phase in cycles,
-    chi_m(tau)*tau + f_c*delay[m, j], becomes its phasor through
-    ``_cycle_phasor``: one exact reduction to [-1/2, 1/2] and one tangent per
-    cell.  Each block reuses its own buffers, and every cell's arithmetic is
+    chi_m(tau)*tau + f_c*delay[m, j], is built in one buffer and becomes
+    its phasor plus one through ``_cycle_phasor``: one exact reduction to
+    [-1/2, 1/2] and one tangent per cell.  The block accumulates
+    sum_m columns[i, m]*(phasor + 1) and subtracts sum_m columns[i, m] once.
+    Each block reuses its own buffers, and every cell's arithmetic is
     independent of the block size and of the thread that fills it.
     """
     n_t, n_theta = t_prime.size, delay.shape[1]
@@ -158,6 +161,7 @@ def _time_modulated_field(config: ArrayConfig, plan: TimeModulatedPlan, columns:
 
     def fill(start: int) -> None:
         t = t_prime[start:start + rows, None]
+        cols = columns[start:start + rows]
         acc = field[start:start + rows]
         tau = np.empty(acc.shape)
         cycles = np.empty(acc.shape)
@@ -165,11 +169,13 @@ def _time_modulated_field(config: ArrayConfig, plan: TimeModulatedPlan, columns:
         term = np.empty(acc.shape, dtype=complex)
         for mi in range(delay.shape[0]):
             np.add(t, delay[mi], out=tau)
-            np.multiply(plan.chi(mi, tau), tau, out=cycles)
+            plan.chi(mi, tau, out=cycles)
+            cycles *= tau
             cycles += carrier_delay[mi]
             _cycle_phasor(cycles, term, scratch)
-            term *= columns[start:start + rows, mi, None]
+            term *= cols[:, mi, None]
             acc += term
+        acc -= cols.sum(axis=1)[:, None]
 
     starts = range(0, n_t, rows)
     # the CPUs this process may run on; only Linux has an affinity set

@@ -327,8 +327,15 @@ def _parse_fitb_grid(sec: configparser.SectionProxy, sc: Scenario) -> dict:
     engine = sec.get("engine", "exact").strip().lower().replace("-", "_")
     if engine not in ("exact", "closed_form"):
         raise ScenarioParseError(f"fitb_grid: unknown engine {engine!r}")
-    if engine == "closed_form" and not isinstance(sc.plan, UniformPlan):
-        raise ScenarioValidationError("fitb_grid: the closed-form engine needs a uniform plan")
+    if engine == "closed_form":
+        # the Dirichlet form assumes a uniform plan, unit weights and rect pulses
+        if not isinstance(sc.plan, UniformPlan):
+            raise ScenarioValidationError("fitb_grid: the closed-form engine needs a uniform plan")
+        setup = sec.parser
+        if (setup["weights"].get("type", "uniform").strip().lower() != "uniform"
+                or setup["waveforms"].get("kind", "rect").strip().lower() != "rect"):
+            raise ScenarioValidationError("fitb_grid: the closed-form engine needs "
+                                          "[weights] type = uniform and [waveforms] kind = rect")
     n_time = _samples(sec, "time_samples", 512, sc.config.num_elements)
     return {
         "n_time": n_time,

@@ -183,29 +183,25 @@ def measure_peak_trajectory(grid: BeampatternGrid) -> PeakTrajectory:
     """
     if grid.normalization != "linear-magnitude":
         raise ValueError("trajectory extraction needs a linear-magnitude grid")
+    values = grid.values
     sin_th = np.sin(grid.theta_axis)
-    ref = grid.values.max()
-    n_t = grid.t_axis.size
-    theta = np.empty(n_t)
-    ambiguous = np.zeros(n_t, dtype=bool)
-    for i in range(n_t):
-        row = grid.values[i]
-        j = int(np.argmax(row))
-        if ref <= 0.0 or row[j] < 0.5 * ref:
-            ambiguous[i] = True
-        if 0 < j < row.size - 1:
-            # vertex of the parabola through the three neighbouring
-            # (sin(theta), value) points; spacing in sine is not uniform
-            x0, x1, x2 = sin_th[j - 1], sin_th[j], sin_th[j + 1]
-            y0, y1, y2 = row[j - 1], row[j], row[j + 1]
-            denom = 2.0 * (x0 * (y1 - y2) + x1 * (y2 - y0) + x2 * (y0 - y1))
-            if denom != 0.0:
-                s_peak = (x0 * x0 * (y1 - y2) + x1 * x1 * (y2 - y0)
-                          + x2 * x2 * (y0 - y1)) / denom
-                if x0 <= s_peak <= x2:
-                    theta[i] = math.asin(min(1.0, max(-1.0, s_peak)))
-                    continue
-        theta[i] = grid.theta_axis[j]
+    ref = values.max()
+    rows = np.arange(grid.t_axis.size)
+    j = values.argmax(axis=1)
+    ambiguous = (values[rows, j] < 0.5 * ref) | (ref <= 0.0)
+    theta = grid.theta_axis[j]
+    # vertex of the parabola through the three neighbouring (sin(theta), value)
+    # points of each interior peak; spacing in sine is not uniform
+    inner = np.flatnonzero((j > 0) & (j < sin_th.size - 1))
+    jm = j[inner]
+    x0, x1, x2 = sin_th[jm - 1], sin_th[jm], sin_th[jm + 1]
+    y0, y1, y2 = values[inner, jm - 1], values[inner, jm], values[inner, jm + 1]
+    denom = 2.0 * (x0 * (y1 - y2) + x1 * (y2 - y0) + x2 * (y0 - y1))
+    with np.errstate(divide="ignore", invalid="ignore"):  # denom == 0 rows are not refined
+        s_peak = (x0 * x0 * (y1 - y2) + x1 * x1 * (y2 - y0) + x2 * x2 * (y0 - y1)) / denom
+    fit = (denom != 0.0) & (x0 <= s_peak) & (s_peak <= x2)
+    # math.asin per refined row: np.arcsin may differ from it by an ulp
+    theta[inner[fit]] = [math.asin(min(1.0, max(-1.0, s))) for s in s_peak[fit].tolist()]
     return PeakTrajectory(t=grid.t_axis.copy(), theta=theta, ambiguous=ambiguous)
 
 

@@ -208,6 +208,29 @@ class TestPlanOffsets:
                                                                  "arctan": np.arctan(1.0),
                                                                  "sinh": np.sinh(1.0)}[form])
 
+    @pytest.mark.parametrize("plan", [
+        fb.TimeModulatedPlan(form="sqrt", rate=37e3, time_scale=0.7e-6),
+        fb.TimeModulatedPlan(form="cbrt", rate=37e3, time_scale=0.7e-6),
+        fb.TimeModulatedPlan(form="arctan", rate=37e3, time_scale=0.7e-6),
+        fb.TimeModulatedPlan(form="sinh", rate=37e3, time_scale=0.7e-6),
+        fb.TimeModulatedPlan(form="table", table_t=(-1e-6, 0.0, 2e-6, 6e-6),
+                             table_chi=((0.0,) * 4, (5.0, -1e3, 2e4, 3.5e5))),
+    ], ids=["sqrt", "cbrt", "arctan", "sinh", "table"])
+    def test_time_modulated_chi_into_buffer(self, plan):
+        tau = np.random.default_rng(3).uniform(-2e-6, 7e-6, (4, 9))
+        forms = {"sqrt": lambda x: np.sqrt(np.maximum(x, 0.0)), "cbrt": np.cbrt,
+                 "arctan": np.arctan, "sinh": np.sinh}
+        for m in (0, 1):
+            buf = np.empty(tau.shape)
+            got = plan.chi(m, tau, out=buf)
+            assert got is buf
+            assert np.array_equal(got, plan.chi(m, tau))
+            if plan.form in forms:  # the defining expression, bit for bit
+                assert np.array_equal(got, m * plan.rate * forms[plan.form](tau / plan.time_scale))
+            # a scalar tau still gives a scalar
+            scalar = plan.chi(m, float(tau[2, 3]))
+            assert np.ndim(scalar) == 0 and scalar == got[2, 3]
+
     def test_time_modulated_table(self):
         plan = fb.TimeModulatedPlan(
             form="table",

@@ -110,6 +110,38 @@ class TestFieldExact:
             want = time_modulated_oracle(cfg200k, plan, w_t[i], bank, t[i], theta[j])
             assert got[i, j] == pytest.approx(want, rel=1e-10), (i, j)
 
+    @pytest.mark.parametrize("plan", [
+        fb.TimeModulatedPlan(form="sqrt", rate=50e3, time_scale=1e-6),
+        fb.TimeModulatedPlan(form="cbrt", rate=50e3, time_scale=1e-6),
+        fb.TimeModulatedPlan(form="arctan", rate=50e3, time_scale=1e-6),
+        fb.TimeModulatedPlan(form="sinh", rate=20e3, time_scale=1e-6),
+    ], ids=["sqrt", "cbrt", "arctan", "sinh"])
+    def test_time_modulated_grid_error_against_longdouble_sum(self, plan, cfg200k):
+        # the engine sums columns*(phasor + 1) and subtracts sum(columns) once per row;
+        # that cancellation may cost only a few ulps of the peak bound M*max|column|.
+        # The reference forms each phase in cycles as the engine does, in float64, and
+        # reduces, exponentiates and sums it in long double; the oracle test above
+        # checks the phases themselves.
+        bank = fb.make_chirp_bank(cfg200k)
+        t = np.linspace(0.0, 5e-6, N_BLOCKS_T)
+        theta = fb.theta_grid(N_THETA)
+        w_t = fb.random_unimodular_weights(t.size * M, seed=8).reshape(t.size, M)
+        got = exact_field_matrix(cfg200k, plan, w_t, bank, t, theta)
+        rows = np.arange(0, t.size, 11)
+        columns = np.stack([wf.sample(t[rows]) for wf in bank], axis=1) * np.conj(w_t[rows])
+        delay = np.outer(cfg200k.element_index * (cfg200k.spacing / cfg200k.wave_speed),
+                         np.sin(theta))
+        two_pi = 8 * np.arctan(np.longdouble(1))
+        want = np.zeros((rows.size, theta.size), dtype=np.clongdouble)
+        for m in range(M):
+            tau = t[rows, None] + delay[m]
+            cycles = plan.chi(m, tau) * tau + cfg200k.carrier_freq * delay[m]
+            cycles = cycles.astype(np.longdouble)
+            phase = two_pi * (cycles - np.rint(cycles))
+            want += columns[:, m, None] * (np.cos(phase) + 1j * np.sin(phase))
+        error = np.abs(got[rows] - want).max() / (M * np.abs(columns).max())
+        assert error <= 4e-15
+
     def test_cycle_phasor_edge_cases(self):
         # integers, half-integers, near +-1/4, negatives and counts far beyond one cycle
         quarter = np.nextafter(0.25, 1.0)
@@ -121,7 +153,8 @@ class TestFieldExact:
             _cycle_phasor(cycles.copy(), out, np.empty(cycles.shape))
         for c, got in zip(cycles.tolist(), out.tolist()):
             r = c - round(c)  # exact; round() and rint both round half to even
-            assert abs(got - cmath.exp(2j * math.pi * r)) <= 4 * np.finfo(float).eps, c
+            # out holds the phasor plus one
+            assert abs((got - 1) - cmath.exp(2j * math.pi * r)) <= 4 * np.finfo(float).eps, c
 
     def test_absolute_metadata_is_inert(self, cfg200k, rect):
         # range and absolute time enter only through t': identical bits out
@@ -235,6 +268,18 @@ class TestZeroTimeCut:
         theta = np.linspace(0.01, 1.5, 200)
         assert np.allclose(fb.zero_time_cut(cfg200k, 200e3, theta),
                            fb.zero_time_cut(cfg200k, 200e3, -theta), rtol=1e-9)
+
+    def test_first_grating_peak_at_large_offset(self):
+        # at delta_f = f_c/10 and d = c/f_c the first grating peak sits at
+        # asin(f_c/(f_c+delta_f)) = 65.4 deg; with f_c in place of f_c+delta_f it would be 90 deg
+        fc, delta_f = 1e10, 1e9
+        cfg = fb.ArrayConfig(num_elements=8, carrier_freq=fc, spacing=3e8 / fc,
+                             pulse_duration=5e-6)
+        theta = fb.theta_grid(4096)
+        beyond_mainlobe = theta > np.radians(30)
+        cut = fb.zero_time_cut(cfg, delta_f, theta[beyond_mainlobe])
+        peak = theta[beyond_mainlobe][np.argmax(cut)]
+        assert abs(peak - math.asin(fc / (fc + delta_f))) <= np.pi / 4096
 
     def test_double_spacing_grating_lobes(self):
         cfg = make_config(100.0, spacing_factor=1.0)

@@ -131,6 +131,16 @@ class TestExecution:
         grid_bin = grid_from_binary(out / "fitb_grid.bin")
         assert np.allclose(grid_csv.values, grid_bin.values, rtol=1e-9)
 
+    def test_closed_form_grid_runs_on_uniform_weights_and_rect_pulses(self, tmp_path):
+        text = SMALL_SCENARIO.replace("engine = exact", "engine = closed-form") + (
+            "\n[weights]\ntype = uniform\n\n[waveforms]\nkind = rect\n\n[outputs]\nformats = binary\n")
+        out = run_scenario_text(text, tmp_path / "out")
+        grid = grid_from_binary(out / "fitb_grid.bin")
+        cfg = fb.ArrayConfig(8, 10e9, 3e8 / (10e9 + 7 * 200e3) / 2, 5e-6)
+        theta = fb.theta_grid(64)
+        expected = fb.fitb_closed_form(cfg, 200e3, grid.t_axis[:, None], theta[None, :])
+        assert np.allclose(grid.values, expected, rtol=1e-12, atol=1e-12)
+
     def test_schedule_section(self, tmp_path):
         text = (
             "[array]\nelements = 8\ncarrier = 10 GHz\npulse = 5 us\n"
@@ -281,6 +291,13 @@ class TestMainVerbs:
         ("[weights]\ntype = random\nseed = -1\n[scan_report]\n", "weights: "),
         ("[plan]\ntype = coded\ncoding = square\noffset = 1 kHz\n"
          "[fitb_grid]\nengine = closed-form\n", "closed-form engine needs a uniform plan"),
+        # the Dirichlet form would lose the steering: its t' = 0 row peaks at 0 deg, not 40
+        ("[plan]\noffset = 100 kHz\n[weights]\ntype = steered\nangle = 40 deg\n"
+         "[fitb_grid]\nengine = closed-form\n",
+         "closed-form engine needs [weights] type = uniform and [waveforms] kind = rect"),
+        ("[plan]\noffset = 100 kHz\n[waveforms]\nkind = chirp-bank\n"
+         "[fitb_grid]\nengine = closed-form\n",
+         "closed-form engine needs [weights] type = uniform and [waveforms] kind = rect"),
         ("[fgtb_curve]\noffsets = 1 MHz, 1.0000001 MHz\n",
          "'1 MHz' and '1.0000001 MHz' both write fgtb_df1000kHz.csv"),
         ("[mimo_compare]\noffsets = 5 MHz, 5000 kHz\n",
@@ -343,7 +360,8 @@ class TestMainVerbs:
          "plan: element 7's time-modulated phase reaches 4.55284e+21 cycles"),
     ], ids=["tabulated-scan-report", "coded-zero-time-cut", "time-modulated-legacy-grid",
             "tabulated-schedule", "segment-beyond-pulse", "negative-weight-seed",
-            "coded-closed-form", "fgtb-offset-collision", "mimo-offset-collision",
+            "coded-closed-form", "steered-closed-form", "chirp-bank-closed-form",
+            "fgtb-offset-collision", "mimo-offset-collision",
             "legacy-range-collision", "spacing-collision", "fitb-time-budget",
             "fitb-angle-budget", "legacy-time-budget", "schedule-angle-budget",
             "zero-time-cut-budget", "fgtb-curve-budget", "mimo-compare-budget",
