@@ -3,7 +3,6 @@
 from .array_model import (
     SPEED_OF_LIGHT,
     ArrayConfig,
-    EvalPoint,
     OutOfSectorError,
     TabulatedPlan,
     TimeModulatedPlan,
@@ -28,7 +27,7 @@ from .waveform import (
 )
 from .beampattern_instant import (
     BeampatternGrid,
-    field_exact,
+    exact_field_matrix,
     fitb_closed_form,
     legacy_array_factor,
     legacy_grid,

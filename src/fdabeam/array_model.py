@@ -101,52 +101,37 @@ class TimeModulatedPlan:
     """Time-modulated frequency offsets chi_m(t').
 
     Element m sees the instantaneous offset chi_m(tau) = m * rate * g(tau/time_scale)
-    for a named analytic form g, or values interpolated from a per-element sampled
-    table.  The exact field engine evaluates chi at the element-local retarded time.
+    for a named analytic form g.  The exact field engine evaluates chi at the
+    element-local retarded time.
 
     Attributes:
-        form: one of "sqrt", "cbrt", "arctan", "sinh", or "table"
+        form: one of "sqrt", "cbrt", "arctan", "sinh"
         rate: offset scale in Hz (per unit element index, at unit argument)
-        time_scale: argument normalization in seconds, positive for the analytic forms
-        table_t: sample times for form="table"
-        table_chi: per-element offset samples, shape (M, len(table_t)), in Hz
+        time_scale: argument normalization in seconds, positive
     """
 
     form: str
     rate: float = 0.0
     time_scale: float = 1e-6
-    table_t: tuple[float, ...] | None = None
-    table_chi: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
-        if self.form not in _TM_FORMS and self.form != "table":
+        if self.form not in _TM_FORMS:
             raise ValueError(f"unknown time-modulated form {self.form!r}")
-        if self.form != "table" and not 0 < self.time_scale < np.inf:
+        if not 0 < self.time_scale < np.inf:
             raise ValueError(f"time_scale must be positive and finite, got {self.time_scale}")
-        if self.form == "table":
-            if self.table_t is None or self.table_chi is None:
-                raise ValueError("form='table' requires table_t and table_chi")
-            if np.any(np.diff(self.table_t) <= 0):
-                raise ValueError("table_t must be strictly increasing")
-            if any(len(row) != len(self.table_t) for row in self.table_chi):
-                raise ValueError(f"every table_chi row needs {len(self.table_t)} samples, "
-                                 "one per table_t entry")
 
     def chi(self, m: int, tau, out: np.ndarray | None = None) -> np.ndarray:
         """Instantaneous frequency offset of element m at local time tau (Hz).
 
         With out, a float array of tau's shape, the offsets are written into it
-        and out is returned; without it, a scalar tau gives a scalar.  The
-        analytic forms compute m*rate*g(tau/time_scale) with no temporaries.
+        and out is returned; without it, a scalar tau gives a scalar.  Computes
+        m*rate*g(tau/time_scale) with no temporaries.
         """
         tau = np.asarray(tau, dtype=float)
         # without out, a fresh buffer: 0-d for a scalar tau, as in-place ufuncs need an array
         x = np.empty(tau.shape) if out is None else out
-        if self.form == "table":
-            x[...] = np.interp(tau, np.asarray(self.table_t), np.asarray(self.table_chi[m]))
-        else:
-            np.divide(tau, self.time_scale, out=x)
-            np.multiply(m * self.rate, _TM_FORMS[self.form](x, x), out=x)
+        np.divide(tau, self.time_scale, out=x)
+        np.multiply(m * self.rate, _TM_FORMS[self.form](x, x), out=x)
         return x if out is not None else x[()]
 
 
@@ -168,27 +153,6 @@ def plan_offsets(plan: FrequencyPlan, num_elements: int) -> np.ndarray:
             )
         return np.asarray(plan.offsets, dtype=float)
     raise UnsupportedPlanError("time-modulated plans have no static offset vector")
-
-
-@dataclass(frozen=True)
-class EvalPoint:
-    """Far-field evaluation point in retarded time t' = t - r/c and azimuth.
-
-    The beampattern engines read only (t_prime, theta); the optional absolute
-    pair (t_abs, r) is carried as metadata so callers can show that the field a
-    pulse carries does not depend on how far it has travelled.
-    """
-
-    t_prime: float
-    theta: float
-    t_abs: float | None = None
-    r: float | None = None
-
-    @classmethod
-    def from_absolute(cls, t: float, r: float, theta: float,
-                      wave_speed: float = SPEED_OF_LIGHT) -> "EvalPoint":
-        "Build a point from absolute time and range; t' = t - r/c."
-        return cls(t_prime=t - r / wave_speed, theta=theta, t_abs=t, r=r)
 
 
 def reference_wavelength(config: ArrayConfig, plan: FrequencyPlan) -> float:

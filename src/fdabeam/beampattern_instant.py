@@ -3,8 +3,8 @@
 Three evaluators of the transmit array factor as a function of retarded time
 t' = t - r/c and azimuth theta:
 
-* ``field_exact`` sums the exact per-element phases (the oracle all closed
-  forms are judged against),
+* ``exact_field_matrix`` sums the exact per-element phases on a grid of
+  time and azimuth samples (the oracle all closed forms are judged against),
 * ``fitb_closed_form`` is the Dirichlet-kernel closed form valid for uniform
   frequency offsets,
 * ``legacy_array_factor`` is the older range-and-time form kept only to
@@ -33,7 +33,6 @@ import numpy as np
 
 from .array_model import (
     ArrayConfig,
-    EvalPoint,
     FrequencyPlan,
     TimeModulatedPlan,
     UniformPlan,
@@ -177,20 +176,15 @@ def _time_modulated_field(config: ArrayConfig, plan: TimeModulatedPlan, columns:
             acc += term
         acc -= cols.sum(axis=1)[:, None]
 
+    # numpy ufuncs release the GIL; imported here to keep it off the CLI's start-up path
+    from concurrent.futures import ThreadPoolExecutor
+
     starts = range(0, n_t, rows)
     # the CPUs this process may run on; only Linux has an affinity set
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, len(starts))
-    if workers <= 1:
-        for start in starts:
-            fill(start)
-    else:
-        # numpy ufuncs release the GIL; imported here to keep it off the CLI's start-up path
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            for done in [pool.submit(fill, start) for start in starts]:
-                done.result()
+    with ThreadPoolExecutor(min(cpus or 1, len(starts))) as pool:
+        for done in [pool.submit(fill, start) for start in starts]:
+            done.result()
     return field
 
 
@@ -204,7 +198,8 @@ def exact_field_matrix(config: ArrayConfig, plan: FrequencyPlan,
     combined_angle_steering(theta_j)[m]; time-modulated plans replace the offset phases by
     chi_m(tau)*tau evaluated at the element-local time tau = t_i + m*d*sin(theta_j)/c.
     Weights are one length-M vector for all times, or an (N_t, M) array whose
-    row i weights time sample t_i (time-variant beamforming).
+    row i weights time sample t_i (time-variant beamforming).  The envelopes
+    vanish outside [0, T_p]; range and absolute time enter only through t'.
     """
     t_prime = np.atleast_1d(np.asarray(t_prime, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -218,30 +213,12 @@ def exact_field_matrix(config: ArrayConfig, plan: FrequencyPlan,
     columns = np.stack([wf.sample(t_prime) for wf in wfs], axis=1) * wc
 
     if isinstance(plan, TimeModulatedPlan):
-        if plan.form == "table" and len(plan.table_chi) != config.num_elements:
-            raise ValueError(f"time-modulated table has {len(plan.table_chi)} rows, "
-                             f"array has {config.num_elements} elements")
         delay = np.outer(config.element_index * (config.spacing / config.wave_speed),
                          np.sin(theta))
         return _time_modulated_field(config, plan, columns, t_prime, delay)
 
     return (steering_time(config, plan, t_prime) * columns) \
         @ combined_angle_steering(config, plan, theta).T
-
-
-def field_exact(config: ArrayConfig, plan: FrequencyPlan,
-                w: np.ndarray,
-                waveforms: BasebandWaveform | Sequence[BasebandWaveform],
-                point: EvalPoint) -> complex:
-    """Exact complex field at one evaluation point.
-
-    Returns array factor times the baseband envelope; zero outside the pulse
-    because the envelope support is [0, T_p].  Range and absolute time enter
-    only through t' = t - r/c.
-    """
-    val = exact_field_matrix(config, plan, w, waveforms,
-                             np.asarray([point.t_prime]), np.asarray([point.theta]))
-    return complex(val[0, 0])
 
 
 def dirichlet_magnitude(ups: np.ndarray, num_elements: int) -> np.ndarray:
@@ -332,17 +309,16 @@ def _row_format(n: int) -> str:
     return ",".join(["%.10g"] * n)
 
 
-def write_csv(path: str | Path, header: str | None, *columns) -> Path:
-    """Write 1-D columns and 2-D blocks side by side as CSV; returns the path.
+def write_csv(path: str | Path, header: str, *columns) -> Path:
+    """Write a header line, then 1-D columns and 2-D blocks side by side as CSV; returns the path.
 
-    The header line is written when given; the file ends with a newline.
+    The file ends with a newline.
     """
     path = Path(path)
     table = np.column_stack(columns)
     fmt = _row_format(table.shape[1]) + "\n"
     with open(path, "w") as fh:
-        if header is not None:
-            fh.write(header + "\n")
+        fh.write(header + "\n")
         # row by row: a whole-table tolist() holds every cell as a Python float
         fh.writelines(fmt % tuple(row.tolist()) for row in table)
     return path

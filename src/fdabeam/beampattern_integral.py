@@ -237,7 +237,3 @@ def curve_to_csv(theta: np.ndarray, values: np.ndarray, path: str | Path) -> Pat
     return write_csv(path, "theta_deg,value_db", np.degrees(theta),
                      10.0 * np.log10(values / values.max()))
 
-
-def covariance_to_csv(r: CovarianceMatrix, path: str | Path) -> Path:
-    "CSV with interleaved real/imag parts: row m holds Re(R[m,0]), Im(R[m,0]), Re(R[m,1]), ..."
-    return write_csv(path, None, np.ascontiguousarray(r.entries).view(float))

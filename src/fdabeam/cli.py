@@ -49,7 +49,6 @@ from .beampattern_instant import (
 from .beampattern_integral import (
     compare_fgtb_mimo,
     covariance,
-    covariance_to_csv,
     curve_to_csv,
     default_quadrature_samples,
     fgtb,
@@ -62,8 +61,6 @@ from .scan_analytics import (
     trajectory_to_csv,
 )
 from .waveform import FoCoding, generate_offsets, make_chirp_bank, rect_pulse
-
-OUT_ENV = "FDABEAM_OUT"
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -204,7 +201,7 @@ class Scenario:
     out_dir: str = "out"
 
 
-_WAVELENGTHS = {"half-wavelength": 0.5, "lambda0/2": 0.5, "wavelength": 1.0, "lambda0": 1.0}
+_WAVELENGTHS = {"half-wavelength": 0.5, "wavelength": 1.0}
 
 
 def _resolve_spacing(token: str, config: ArrayConfig, plan: FrequencyPlan, where: str) -> float:
@@ -283,19 +280,26 @@ def _parse_weights(sec: configparser.SectionProxy, config: ArrayConfig,
     raise ScenarioParseError(f"weights: unknown type {kind!r}")
 
 
+# the keys each waveform kind reads besides "kind"; a chirp's bandwidth is its swept width
+_WAVEFORM_KEYS = {"rect": ("bandwidth",), "chirp-bank": ("base_rate", "rate_step")}
+
+
 def _parse_waveforms(sec: configparser.SectionProxy, config: ArrayConfig) -> list:
     kind = sec.get("kind", "rect").strip().lower()
+    if kind not in _WAVEFORM_KEYS:
+        raise ScenarioParseError(f"waveforms: unknown kind {kind!r}")
+    for key in sec:
+        if key != "kind" and key not in _WAVEFORM_KEYS[kind]:
+            raise ScenarioValidationError(f"waveforms: kind = {kind} does not read {key!r}")
     if kind == "rect":
         bw = sec.get("bandwidth")
         bandwidth = parse_quantity(bw, "waveforms.bandwidth") if bw else None
         return [rect_pulse(config.pulse_duration, bandwidth)] * config.num_elements
-    if kind == "chirp-bank":
-        return make_chirp_bank(
-            config,
-            base_rate_num=_get(sec, "base_rate", 100.0, "float"),
-            rate_step=_get(sec, "rate_step", 10.0, "float"),
-        )
-    raise ScenarioParseError(f"waveforms: unknown kind {kind!r}")
+    return make_chirp_bank(
+        config,
+        base_rate_num=_get(sec, "base_rate", 100.0, "float"),
+        rate_step=_get(sec, "rate_step", 10.0, "float"),
+    )
 
 
 def _write_grid(grid, out: Path, stem: str, formats) -> list[Path]:
@@ -395,24 +399,29 @@ def _parse_legacy_grid(sec: configparser.SectionProxy, sc: Scenario) -> dict:
         if r <= 0:
             raise ScenarioValidationError(f"legacy_grid.ranges: {text!r} is not a positive range")
     n_time = _samples(sec, "time_samples", 256, sc.config.num_elements)
+    # matched absolute instants: shared axis anchored at the furthest range
+    far = ranges.index(max(ranges))
+    t_axis = ranges[far] / sc.config.wave_speed + np.linspace(0.0, sc.config.pulse_duration,
+                                                              n_time)
+    if np.any(np.diff(t_axis) <= 0):
+        raise ScenarioValidationError(
+            f"legacy_grid.ranges: at {texts[far]!r}, r/c + t takes fewer than {n_time} "
+            "distinct float64 values over the pulse")
     return {
         "ranges": ranges,
         "tags": _unique_tags("legacy_grid.ranges", texts, [f"{r / 1e3:g}km" for r in ranges],
                              "legacy_r{}"),
-        "n_time": n_time,
+        "t_axis": t_axis,
         "n_theta": _samples(sec, "angle_samples", 1024, n_time, sc.config.num_elements),
     }
 
 
 def _run_legacy_grid(sc: Scenario, params: dict, out: Path) -> list[Path]:
     written = []
-    # matched absolute instants: shared axis anchored at the furthest range
-    r_ref = max(params["ranges"])
-    t_axis = r_ref / sc.config.wave_speed + np.linspace(0.0, sc.config.pulse_duration,
-                                                        params["n_time"])
+    t_axis = params["t_axis"]
     # the retarded-time grid does not depend on range: one grid, written per range
     fitb = sweep_grid(sc.config, sc.plan, sc.weights, sc.waveforms,
-                      n_time=params["n_time"], n_theta=params["n_theta"])
+                      n_time=t_axis.size, n_theta=params["n_theta"])
     for r, tag in zip(params["ranges"], params["tags"]):
         written += _write_grid(fitb, out, f"fitb_r{tag}", sc.formats)
         legacy = legacy_grid(sc.config, sc.plan.delta_f, r, t_axis, params["n_theta"])
@@ -438,21 +447,13 @@ def _parse_offsets(sec: configparser.SectionProxy, sc: Scenario) -> dict:
     }
 
 
-def _parse_fgtb_curve(sec: configparser.SectionProxy, sc: Scenario) -> dict:
-    return {**_parse_offsets(sec, sc),
-            "covariance_csv": _get(sec, "covariance_csv", False, "boolean")}
-
-
 def _run_fgtb_curve(sc: Scenario, params: dict, out: Path) -> list[Path]:
     written = []
     theta = theta_grid(params["n_theta"])
     for off, tag in zip(params["offsets"], params["tags"]):
         plan = UniformPlan(off)
-        r = covariance(sc.waveforms, plan)
-        values = fgtb(r, sc.config, plan, sc.weights, theta)
+        values = fgtb(covariance(sc.waveforms, plan), sc.config, plan, sc.weights, theta)
         written.append(curve_to_csv(theta, values, out / f"fgtb_df{tag}.csv"))
-        if params["covariance_csv"]:
-            written.append(covariance_to_csv(r, out / f"covariance_df{tag}.csv"))
     return written
 
 
@@ -547,8 +548,7 @@ _SECTIONS: dict[str, _Section] = {
                               _parse_zero_time_cut, _run_zero_time_cut, uniform=True),
     "legacy_grid": _Section(("ranges", "time_samples", "angle_samples"),
                             _parse_legacy_grid, _run_legacy_grid, uniform=True),
-    "fgtb_curve": _Section(("offsets", "angle_samples", "covariance_csv"),
-                           _parse_fgtb_curve, _run_fgtb_curve),
+    "fgtb_curve": _Section(("offsets", "angle_samples"), _parse_offsets, _run_fgtb_curve),
     "mimo_compare": _Section(("offsets", "angle_samples"), _parse_offsets, _run_mimo_compare),
     "scan_report": _Section(("time", "k"), _parse_scan_report, _run_scan_report, uniform=True),
     "schedule": _Section(("segmentN", "time_samples", "angle_samples"),
@@ -654,7 +654,7 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
 
 def execute_scenario(sc: Scenario, out_dir: str | Path | None = None) -> Path:
     "Run every evaluation, write artifacts and the hash manifest; returns the output dir."
-    out = Path(os.environ.get(OUT_ENV) or out_dir or sc.out_dir)
+    out = Path(out_dir or sc.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write_probe"

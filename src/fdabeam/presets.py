@@ -100,7 +100,7 @@ PRESETS: dict[str, tuple[str, str]] = {
         + _ARRAY_16
         + "\n[plan]\ntype = uniform\noffset = 0 Hz\n\n"
         + "[weights]\ntype = uniform\n\n"
-        + "[waveforms]\nkind = chirp-bank\nbandwidth = 10 MHz\n\n"
+        + "[waveforms]\nkind = chirp-bank\n\n"
         + "[fgtb_curve]\noffsets = 0 Hz, 1 MHz, 5 MHz, 10 MHz\nangle_samples = 721\n",
     ),
     "fig9a": (
@@ -109,7 +109,7 @@ PRESETS: dict[str, tuple[str, str]] = {
         + "[array]\nelements = 40\ncarrier = 10 GHz\nspacing = half-wavelength\npulse = 5 us\n\n"
         + "[plan]\ntype = uniform\noffset = 0 Hz\n\n"
         + "[weights]\ntype = uniform\n\n"
-        + "[waveforms]\nkind = chirp-bank\nbandwidth = 10 MHz\n\n"
+        + "[waveforms]\nkind = chirp-bank\n\n"
         + "[mimo_compare]\noffsets = 0 Hz, 10 MHz\nangle_samples = 721\n",
     ),
     "fig9b": (
@@ -118,7 +118,7 @@ PRESETS: dict[str, tuple[str, str]] = {
         + "[array]\nelements = 40\ncarrier = 10 GHz\nspacing = half-wavelength\npulse = 5 us\n\n"
         + "[plan]\ntype = uniform\noffset = 0 Hz\n\n"
         + "[weights]\ntype = random\nseed = 20230902\n\n"
-        + "[waveforms]\nkind = chirp-bank\nbandwidth = 10 MHz\n\n"
+        + "[waveforms]\nkind = chirp-bank\n\n"
         + "[mimo_compare]\noffsets = 0 Hz, 10 MHz\nangle_samples = 721\n",
     ),
 }

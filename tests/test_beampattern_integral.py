@@ -168,24 +168,6 @@ class TestFgtb:
         assert 10 * np.log10(vals.max() / vals.min()) < 1.0
 
 
-class TestCovarianceCsv:
-    def test_interleaved_real_imag(self, tmp_path, cfg):
-        from fdabeam.beampattern_integral import covariance_to_csv
-
-        bank = fb.make_chirp_bank(cfg)
-        plan = fb.UniformPlan(1e6)
-        r = fb.covariance(bank, plan,
-                          default_quadrature_samples(cfg, bank, plan))
-        path = tmp_path / "cov.csv"
-        covariance_to_csv(r, path)
-        rows = path.read_text().strip().splitlines()
-        assert len(rows) == M
-        cells = [float(v) for v in rows[3].split(",")]
-        assert len(cells) == 2 * M
-        rebuilt = np.array(cells[0::2]) + 1j * np.array(cells[1::2])
-        assert np.allclose(rebuilt, r.entries[3], rtol=1e-9, atol=1e-12)
-
-
 class TestMimoBeampattern:
     def test_orthogonal_flat_norm_squared(self, cfg, rect_bank):
         shifted = [fb.with_freq_offset(wf, m / TP) for m, wf in enumerate(rect_bank)]

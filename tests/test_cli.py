@@ -1,10 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -174,11 +177,11 @@ class TestExecution:
         assert np.abs(grid.values - want).max() <= 1e-8 * want.max()
 
     def test_out_env_override(self, tmp_path, monkeypatch):
-        target = tmp_path / "env_out"
-        monkeypatch.setenv(cli.OUT_ENV, str(target))
-        out = run_scenario_text(SMALL_SCENARIO, tmp_path / "ignored")
-        assert out == target
-        assert (target / "manifest.json").exists()
+        # the output directory is --out or [outputs] directory; no environment variable overrides it
+        monkeypatch.setenv("FDABEAM_OUT", str(tmp_path / "env_out"))
+        out = run_scenario_text(SMALL_SCENARIO, tmp_path / "out")
+        assert out == tmp_path / "out" and (out / "manifest.json").exists()
+        assert not (tmp_path / "env_out").exists()
 
 
 class TestMainVerbs:
@@ -252,10 +255,11 @@ class TestMainVerbs:
         ("pulse = 5 us", "pulse = 5 us\npulses = 5 us"),
         ("name = small", "name = small\nseeds = 1"),
         ("[scan_report]", "[waveforms]\nkind = rect\nbandwith = 1 MHz\n\n[scan_report]"),
+        ("spacing = half-wavelength", "spacing = lambda0/2"),
     ], ids=["getint", "getboolean", "getint-float", "getfloat", "quantity", "unknown-key",
             "unknown-section", "infinite-quantity", "overflowing-quantity", "nan-quantity",
             "infinite-getfloat", "unknown-plan-key", "unknown-array-key",
-            "unknown-scenario-key", "unknown-waveforms-key"])
+            "unknown-scenario-key", "unknown-waveforms-key", "spacing-alias"])
     def test_unparseable_value_exit_2(self, tmp_path, capsys, verb, old, new):
         path = tmp_path / "s.ini"
         path.write_text(SMALL_SCENARIO.replace(old, new))
@@ -358,6 +362,17 @@ class TestMainVerbs:
         ("[plan]\ntype = time-modulated\nform = sinh\nrate = 50 kHz\ntime_scale = 100 ns\n"
          "[fitb_grid]\n",  # finite, but no fraction of a cycle is left at the pulse end
          "plan: element 7's time-modulated phase reaches 4.55284e+21 cycles"),
+        ("[plan]\ntype = time-modulated\nform = table\n[fitb_grid]\n",
+         "plan: unknown time-modulated form 'table'"),
+        # r/c is 3.3e11 s, where float64 steps by 6.1e-5 s: four instants of a 5 us pulse collapse
+        ("[legacy_grid]\nranges = 18 km, 1e17 km\ntime_samples = 4\n",
+         "legacy_grid.ranges: at '1e17 km', r/c + t takes fewer than 4 distinct float64 values"),
+        ("[waveforms]\nkind = chirp-bank\nbandwidth = 10 MHz\n[fitb_grid]\n",
+         "waveforms: kind = chirp-bank does not read 'bandwidth'"),
+        ("[waveforms]\nbase_rate = 100\n[fitb_grid]\n",
+         "waveforms: kind = rect does not read 'base_rate'"),
+        ("[waveforms]\nkind = rect\nrate_step = 5\n[fitb_grid]\n",
+         "waveforms: kind = rect does not read 'rate_step'"),
     ], ids=["tabulated-scan-report", "coded-zero-time-cut", "time-modulated-legacy-grid",
             "tabulated-schedule", "segment-beyond-pulse", "negative-weight-seed",
             "coded-closed-form", "steered-closed-form", "chirp-bank-closed-form",
@@ -371,7 +386,8 @@ class TestMainVerbs:
             "coded-nonpositive-frequency", "zero-time-scale", "negative-time-scale",
             "fgtb-nonpositive-frequency", "mimo-nonpositive-frequency", "legacy-negative-range",
             "legacy-zero-range", "zero-time-cut-negative-spacing", "time-modulated-phase-overflow",
-            "time-modulated-phase-beyond-2-52"])
+            "time-modulated-phase-beyond-2-52", "time-modulated-table-form",
+            "legacy-range-beyond-axis", "chirp-bank-bandwidth", "rect-base-rate", "rect-rate-step"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, verb, body, expected):
         # a body without its own [array] section runs on an 8-element array
         path = tmp_path / "s.ini"
@@ -494,3 +510,75 @@ def test_load_scenario_returns_or_raises_a_scenario_error(elements, setup, evalu
     if evaluation in _RUN_EVALUATIONS:
         with tempfile.TemporaryDirectory() as out:
             cli.execute_scenario(sc, out)
+
+
+# Every evaluation section, with a few value texts per key, valid and not, at sizes small
+# enough to run each drawn scenario that validates.
+_OFFSETS = ("0 Hz", "1 MHz", "0, 100 kHz", "-3 GHz", "1 GHz", "1 MHz, 1.0000001 MHz", "x")
+_SECTION_VALUES = {
+    "fitb_grid": {"time_samples": ("2", "3", "1"), "angle_samples": ("2", "5", "0"),
+                  "engine": ("exact", "closed-form", "fast"), "trajectory": ("true", "false")},
+    "zero_time_cut": {"angle_samples": ("2", "7", "1"),
+                      "spacings": ("half-wavelength", "wavelength", "1.5 cm", "-1 cm", "0 m",
+                                   "1 cm, 3 cm", "2 cm, 2 CM", "lambda0", "")},
+    "legacy_grid": {"ranges": ("18 km", "18 km, 27 km", "0 km", "-5 km", "1e17 km", "1e300 km",
+                               "x"),
+                    "time_samples": ("2", "4", "1"), "angle_samples": ("2", "3")},
+    "fgtb_curve": {"offsets": _OFFSETS, "angle_samples": ("2", "3", "1")},
+    "mimo_compare": {"offsets": _OFFSETS, "angle_samples": ("2", "3", "1")},
+    "scan_report": {"time": ("0", "1 us", "-1 us", "9 us"), "k": ("0", "1", "-1", "x")},
+    "schedule": {"segment1": ("0 us, 1 us, 0, 10", "0 us, 9 us, 0, 10", "1 us, 0 us, 0, 10",
+                              "0 us, 5 us, -20 deg, 95 deg", "1, 2"),
+                 "segment2": ("2 us, 3 us, 10, 10", "0 us, 1 us, 0, 0"),
+                 "time_samples": ("2", "4"), "angle_samples": ("2", "3")},
+}
+_PLANS = ("type = uniform\noffset = 100 kHz", "type = uniform\noffset = 0 Hz",
+          "type = uniform\noffset = -4 GHz", "type = coded\ncoding = costas\noffset = 5 kHz",
+          "type = time-modulated\nform = arctan\nrate = 50 kHz",
+          "type = time-modulated\nform = sinh\nrate = 50 kHz\ntime_scale = 1 ns")
+_WEIGHTS = ("type = uniform", "type = random\nseed = 3", "type = steered\nangle = 30 deg")
+_WAVEFORMS = ("kind = rect", "kind = chirp-bank", "kind = chirp-bank\nbandwidth = 10 MHz",
+              "kind = rect\nrate_step = 5")
+
+
+@st.composite
+def _evaluations(draw):
+    section = draw(st.sampled_from(sorted(_SECTION_VALUES)))
+    keys = draw(st.fixed_dictionaries({}, optional={
+        key: st.sampled_from(values) for key, values in _SECTION_VALUES[section].items()}))
+    return section, keys
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements=st.sampled_from(("1", "2", "4")), plan=st.sampled_from(_PLANS),
+       weights=st.sampled_from(_WEIGHTS), waveforms=st.sampled_from(_WAVEFORMS),
+       evaluation=_evaluations())
+@example(elements="4", plan=_PLANS[0], weights=_WEIGHTS[0], waveforms=_WAVEFORMS[0],
+         evaluation=("zero_time_cut", {"spacings": "-1 cm"}))
+@example(elements="4", plan=_PLANS[5], weights=_WEIGHTS[0], waveforms=_WAVEFORMS[0],
+         evaluation=("fitb_grid", {"time_samples": "2", "angle_samples": "2"}))
+@example(elements="4", plan=_PLANS[0], weights=_WEIGHTS[0], waveforms=_WAVEFORMS[0],
+         evaluation=("legacy_grid", {"ranges": "1e17 km", "time_samples": "4"}))
+def test_validate_ok_means_run_ok(elements, plan, weights, waveforms, evaluation):
+    """A scenario that validate accepts also runs: exit 0 and no warning of any kind.
+
+    validate itself ends every scenario with exit 0, 2 or 3, never a traceback.
+    """
+    section, keys = evaluation
+    text = (f"[array]\nelements = {elements}\ncarrier = 10 GHz\npulse = 5 us\n"
+            f"[plan]\n{plan}\n[weights]\n{weights}\n[waveforms]\n{waveforms}\n[{section}]\n"
+            + "".join(f"{key} = {value}\n" for key, value in keys.items()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.ini"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["validate", str(path)])
+            assert code in (0, cli.EXIT_PARSE, cli.EXIT_VALIDATION)
+            if code != 0:
+                return
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main(["run", str(path), "--out", str(Path(tmp) / "out")])
+        assert code == 0, err.getvalue()
+        assert not caught, [str(w.message) for w in caught]
