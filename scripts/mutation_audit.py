@@ -70,6 +70,10 @@ MUTANTS = (
      "    if np.any(np.diff(t_axis) <= 0):", "    if False:"),
     ("skip-waveform-key-check", "cli.py",
      'if key != "kind" and key not in _WAVEFORM_KEYS[kind]:', "if False:"),
+    ("blas-scope-keeps-previous-count", "cli.py",
+     "    set_(1)\n", "    set_(previous)\n"),
+    ("skip-negative-bandwidth-check", "waveform.py",
+     "        if self.bandwidth < 0:", "        if False:"),
 )
 
 

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
+import ctypes
+import functools
 import hashlib
 import json
 import math
@@ -294,7 +297,10 @@ def _parse_waveforms(sec: configparser.SectionProxy, config: ArrayConfig) -> lis
     if kind == "rect":
         bw = sec.get("bandwidth")
         bandwidth = parse_quantity(bw, "waveforms.bandwidth") if bw else None
-        return [rect_pulse(config.pulse_duration, bandwidth)] * config.num_elements
+        try:
+            return [rect_pulse(config.pulse_duration, bandwidth)] * config.num_elements
+        except ValueError as exc:
+            raise ScenarioValidationError(f"waveforms: {exc}") from exc
     return make_chirp_bank(
         config,
         base_rate_num=_get(sec, "base_rate", 100.0, "float"),
@@ -652,6 +658,57 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     return sc
 
 
+# get/set_num_threads symbol pairs in lookup order: numpy wheels' scipy-openblas,
+# then OpenBLAS builds with and without the 64-bit integer interface
+_OPENBLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                            "openblas_{}_num_threads")
+
+
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    "The loaded OpenBLAS's get/set_num_threads, or None (not Linux, MKL, Accelerate)."
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and "/" in ln})
+    except OSError:
+        return None
+    handles = []
+    for lib in libs:
+        with contextlib.suppress(OSError):
+            handles.append(ctypes.CDLL(lib))
+    for symbol in _OPENBLAS_THREAD_SYMBOLS:
+        for handle in handles:
+            get = getattr(handle, symbol.format("get"), None)
+            set_ = getattr(handle, symbol.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block's BLAS on one thread, restoring the previous count on exit.
+
+    After a threaded product OpenBLAS's helper thread busy-waits for about
+    125 ms of CPU, which on two CPUs takes a whole core from the time-modulated
+    kernel's workers in the next grid; the products here are small enough that
+    one thread loses little.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def execute_scenario(sc: Scenario, out_dir: str | Path | None = None) -> Path:
     "Run every evaluation, write artifacts and the hash manifest; returns the output dir."
     out = Path(out_dir or sc.out_dir)
@@ -664,8 +721,9 @@ def execute_scenario(sc: Scenario, out_dir: str | Path | None = None) -> Path:
         raise ScenarioValidationError(f"output directory {out} is not writable: {exc}") from exc
 
     written: list[Path] = []
-    for kind, params in sc.evaluations:
-        written.extend(_SECTIONS[kind].run(sc, params, out))
+    with _one_blas_thread():
+        for kind, params in sc.evaluations:
+            written.extend(_SECTIONS[kind].run(sc, params, out))
 
     manifest = {
         "scenario": sc.name,

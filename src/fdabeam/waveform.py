@@ -25,8 +25,8 @@ class BasebandWaveform:
     s(t) = exp(j*pi*chirp_rate*t^2) * exp(j*2*pi*freq_offset*t) / sqrt(T_p)
     for 0 <= t <= T_p and 0 elsewhere.  chirp_rate is in Hz/s; a plain
     rectangular pulse has chirp_rate == freq_offset == 0.  `bandwidth` is the
-    declared baseband bandwidth used for narrowband and sampling checks, not a
-    computed spectral width.
+    declared baseband bandwidth (non-negative) used for narrowband and sampling
+    checks, not a computed spectral width.
     """
 
     pulse_duration: float
@@ -37,6 +37,8 @@ class BasebandWaveform:
     def __post_init__(self):
         if self.pulse_duration <= 0:
             raise ValueError("pulse_duration must be positive")
+        if self.bandwidth < 0:
+            raise ValueError(f"bandwidth must be non-negative, got {self.bandwidth:g} Hz")
 
     @property
     def amplitude(self) -> float:
@@ -62,14 +64,15 @@ def make_chirp_bank(config: ArrayConfig, base_rate_num: float = 100.0,
                     rate_step: float = 10.0) -> list[BasebandWaveform]:
     """One chirp per element with rate gamma_m = (base_rate_num + rate_step*m) / T_p^2.
 
-    Element m sweeps roughly (base_rate_num + rate_step*m)/T_p of bandwidth over
-    the pulse; that swept width is recorded as the declared bandwidth.
+    Element m sweeps roughly |base_rate_num + rate_step*m|/T_p of bandwidth over
+    the pulse, upward or downward; that swept width is recorded as the declared
+    bandwidth.
     """
     tp = config.pulse_duration
     bank = []
     for m in range(config.num_elements):
         rate = (base_rate_num + rate_step * m) / tp**2
-        bank.append(BasebandWaveform(pulse_duration=tp, chirp_rate=rate, bandwidth=rate * tp))
+        bank.append(BasebandWaveform(pulse_duration=tp, chirp_rate=rate, bandwidth=abs(rate) * tp))
     return bank
 
 

@@ -75,6 +75,14 @@ class TestCovariance:
         with pytest.raises(fb.SamplingError):
             fb.covariance(bank, fb.UniformPlan(10e6), 64)
 
+    def test_down_chirp_bank_samples_like_its_mirror(self):
+        # a down-chirp sweeps as wide as its mirror up-chirp, so its integrand is as fast
+        cfg = make_config(0.0)
+        plan = fb.UniformPlan(1e6)
+        down, up = (default_quadrature_samples(cfg, fb.make_chirp_bank(cfg, rate, 0.0), plan)
+                    for rate in (-2000.0, 2000.0))
+        assert down == up == 16640
+
 
 class TestFgtb:
     def test_zero_weights(self, cfg, rect_bank):

@@ -373,6 +373,8 @@ class TestMainVerbs:
          "waveforms: kind = rect does not read 'base_rate'"),
         ("[waveforms]\nkind = rect\nrate_step = 5\n[fitb_grid]\n",
          "waveforms: kind = rect does not read 'rate_step'"),
+        ("[waveforms]\nkind = rect\nbandwidth = -4 GHz\n[fgtb_curve]\noffsets = 123.4567 MHz\n",
+         "waveforms: bandwidth must be non-negative, got -4e+09 Hz"),
     ], ids=["tabulated-scan-report", "coded-zero-time-cut", "time-modulated-legacy-grid",
             "tabulated-schedule", "segment-beyond-pulse", "negative-weight-seed",
             "coded-closed-form", "steered-closed-form", "chirp-bank-closed-form",
@@ -387,7 +389,8 @@ class TestMainVerbs:
             "fgtb-nonpositive-frequency", "mimo-nonpositive-frequency", "legacy-negative-range",
             "legacy-zero-range", "zero-time-cut-negative-spacing", "time-modulated-phase-overflow",
             "time-modulated-phase-beyond-2-52", "time-modulated-table-form",
-            "legacy-range-beyond-axis", "chirp-bank-bandwidth", "rect-base-rate", "rect-rate-step"])
+            "legacy-range-beyond-axis", "chirp-bank-bandwidth", "rect-base-rate", "rect-rate-step",
+            "rect-negative-bandwidth"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, verb, body, expected):
         # a body without its own [array] section runs on an 8-element array
         path = tmp_path / "s.ini"
@@ -414,6 +417,40 @@ class TestMainVerbs:
         for name, (_, text) in PRESETS.items():
             sc = cli.load_scenario(text)
             assert sc.evaluations, name
+
+
+class TestBlasThreads:
+    "execute_scenario runs every engine on one OpenBLAS thread and restores the count after."
+
+    @pytest.fixture
+    def blas_threads(self):
+        blas = cli._openblas_threads()
+        if blas is None:
+            pytest.skip("no OpenBLAS get/set_num_threads pair is loaded")
+        get, set_ = blas
+        before = get()
+        set_(2)  # a count that the scope must change and then restore
+        yield get
+        set_(before)
+
+    def test_engines_run_on_one_thread(self, blas_threads, tmp_path, monkeypatch):
+        seen = []
+        for name in ("sweep_grid", "covariance"):
+            def wrapper(*args, _engine=getattr(cli, name), **kwargs):
+                seen.append(blas_threads())
+                return _engine(*args, **kwargs)
+            monkeypatch.setattr(cli, name, wrapper)
+        run_scenario_text(SMALL_SCENARIO + "\n[fgtb_curve]\noffsets = 1 MHz\n", tmp_path)
+        assert seen == [1, 1]
+        assert blas_threads() == 2
+
+    def test_count_restored_when_an_engine_raises(self, blas_threads, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ArithmeticError("engine failed")
+        monkeypatch.setattr(cli, "sweep_grid", failing)
+        with pytest.raises(ArithmeticError, match="engine failed"):
+            run_scenario_text(SMALL_SCENARIO, tmp_path)
+        assert blas_threads() == 2
 
 
 class TestPresetContents:
