@@ -51,6 +51,11 @@ MUTANTS = (
      "values[rows, j] < 0.5 * ref", "values[rows, j] < 0.3 * ref"),
     ("chi-at-retarded-time", "beampattern_instant.py",
      "plan.chi(mi, tau, out=cycles)", "plan.chi(mi, np.broadcast_to(t, tau.shape), out=cycles)"),
+    ("row-start-without-element-0", "beampattern_instant.py",
+     "np.subtract(cols[:, :1], cols[:, 1:].sum(axis=1, keepdims=True), out=acc)",
+     "np.negative(cols[:, 1:].sum(axis=1, keepdims=True), out=acc)"),
+    ("element-loop-from-0", "beampattern_instant.py",
+     "for mi in range(1, delay.shape[0]):", "for mi in range(delay.shape[0]):"),
     ("legacy-without-range-term", "beampattern_instant.py",
      "        - delta_f * r / config.wave_speed\n", ""),
     ("closed-form-carrier-only", "beampattern_instant.py",

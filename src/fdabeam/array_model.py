@@ -106,7 +106,7 @@ class TimeModulatedPlan:
 
     Attributes:
         form: one of "sqrt", "cbrt", "arctan", "sinh"
-        rate: offset scale in Hz (per unit element index, at unit argument)
+        rate: offset scale in Hz (per unit element index, at unit argument), finite
         time_scale: argument normalization in seconds, positive
     """
 
@@ -117,6 +117,8 @@ class TimeModulatedPlan:
     def __post_init__(self):
         if self.form not in _TM_FORMS:
             raise ValueError(f"unknown time-modulated form {self.form!r}")
+        if not np.isfinite(self.rate):
+            raise ValueError(f"rate must be finite, got {self.rate}")
         if not 0 < self.time_scale < np.inf:
             raise ValueError(f"time_scale must be positive and finite, got {self.time_scale}")
 

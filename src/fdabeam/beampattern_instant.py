@@ -15,8 +15,9 @@ Element m's phases have one definition, shared with the integral pattern:
 2*pi*delta_f_m*t' (``array_model.steering_time``) plus
 2*pi*(f_c+delta_f_m)*m*d*sin(theta)/c (``array_model.combined_angle_steering``).
 Time-modulated plans alone replace the offset terms, inside the exact engine,
-which sums them element by element: each phase is reduced exactly to a
-fraction of a cycle and turned into its phasor with one tangent.
+which sums them element by element from element 1 on, since element 0's phase
+is zero for every plan: each phase is reduced exactly to a fraction of a cycle
+and turned into its phasor with one tangent.
 Carrier and 1/r factors are constant-modulus and excluded throughout; pattern
 values are field magnitudes up to a positive constant.
 """
@@ -134,7 +135,7 @@ def _cycle_phasor(cycles: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> N
     cycles -= scratch
     cycles *= np.pi
     t = np.tan(cycles, out=cycles)
-    u = np.multiply(t, t, out=scratch)
+    u = np.square(t, out=scratch)
     u += 1.0
     np.divide(2.0, u, out=out.real)
     np.multiply(t, out.real, out=out.imag)
@@ -145,36 +146,41 @@ def _time_modulated_field(config: ArrayConfig, plan: TimeModulatedPlan, columns:
     """Element sum for time-modulated offsets, filled in row blocks.
 
     columns[i, m] is element m's envelope times conjugate weight at t_i, and
-    delay[m, j] = m*d*sin(theta_j)/c.  Element m's phase in cycles,
-    chi_m(tau)*tau + f_c*delay[m, j], is built in one buffer and becomes
-    its phasor plus one through ``_cycle_phasor``: one exact reduction to
-    [-1/2, 1/2] and one tangent per cell.  The block accumulates
-    sum_m columns[i, m]*(phasor + 1) and subtracts sum_m columns[i, m] once.
-    Each block reuses its own buffers, and every cell's arithmetic is
-    independent of the block size and of the thread that fills it.
+    delay[m, j] = m*d*sin(theta_j)/c.  Element 0's phase is zero for every plan
+    (chi_0 = 0 and delay[0] = 0), so each row starts at
+    columns[i, 0] - sum_{m>=1} columns[i, m] and only elements 1..M-1 are
+    stepped.  Element m's phase in cycles, chi_m(tau)*tau + f_c*delay[m, j],
+    is built in one buffer from tau = t_i + delay[m, j] and becomes its
+    phasor plus one through ``_cycle_phasor``: one exact reduction to
+    [-1/2, 1/2] and one tangent per cell.  The block then accumulates
+    columns[i, m]*(phasor + 1), which restores the subtracted column.  Each
+    block reuses its own buffers, and every cell's arithmetic is independent
+    of the block size and of the thread that fills it.
     """
     n_t, n_theta = t_prime.size, delay.shape[1]
+    field = np.empty((n_t, n_theta), dtype=complex)
+    if field.size == 0:
+        return field
     rows = max(1, BLOCK_CELLS // n_theta)
     carrier_delay = config.carrier_freq * delay
-    field = np.zeros((n_t, n_theta), dtype=complex)
 
     def fill(start: int) -> None:
-        t = t_prime[start:start + rows, None]
         cols = columns[start:start + rows]
         acc = field[start:start + rows]
+        np.subtract(cols[:, :1], cols[:, 1:].sum(axis=1, keepdims=True), out=acc)
+        # the block's times copied to full rows, so each step adds its delay row contiguously
+        times = np.broadcast_to(t_prime[start:start + rows, None], acc.shape).copy()
         tau = np.empty(acc.shape)
         cycles = np.empty(acc.shape)
-        scratch = np.empty(acc.shape)
         term = np.empty(acc.shape, dtype=complex)
-        for mi in range(delay.shape[0]):
-            np.add(t, delay[mi], out=tau)
+        for mi in range(1, delay.shape[0]):
+            np.add(times, delay[mi], out=tau)
             plan.chi(mi, tau, out=cycles)
             cycles *= tau
             cycles += carrier_delay[mi]
-            _cycle_phasor(cycles, term, scratch)
+            _cycle_phasor(cycles, term, tau)  # tau is not read again in this step
             term *= cols[:, mi, None]
             acc += term
-        acc -= cols.sum(axis=1)[:, None]
 
     # numpy ufuncs release the GIL; imported here to keep it off the CLI's start-up path
     from concurrent.futures import ThreadPoolExecutor
@@ -360,7 +366,7 @@ def grid_to_binary(grid: BeampatternGrid, path: str | Path) -> Path:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(grid.values, dtype="<f8").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(grid.values, dtype="<f8")))
     return path
 
 

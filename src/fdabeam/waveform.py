@@ -24,8 +24,9 @@ class BasebandWaveform:
 
     s(t) = exp(j*pi*chirp_rate*t^2) * exp(j*2*pi*freq_offset*t) / sqrt(T_p)
     for 0 <= t <= T_p and 0 elsewhere.  chirp_rate is in Hz/s; a plain
-    rectangular pulse has chirp_rate == freq_offset == 0.  `bandwidth` is the
-    declared baseband bandwidth (non-negative) used for narrowband and sampling
+    rectangular pulse has chirp_rate == freq_offset == 0.  T_p must be positive
+    and finite, the rate and offset finite.  `bandwidth` is the declared
+    baseband bandwidth (non-negative, finite) used for narrowband and sampling
     checks, not a computed spectral width.
     """
 
@@ -35,10 +36,14 @@ class BasebandWaveform:
     bandwidth: float = 0.0
 
     def __post_init__(self):
-        if self.pulse_duration <= 0:
-            raise ValueError("pulse_duration must be positive")
+        if not 0 < self.pulse_duration < np.inf:
+            raise ValueError(
+                f"pulse_duration must be positive and finite, got {self.pulse_duration}")
         if self.bandwidth < 0:
             raise ValueError(f"bandwidth must be non-negative, got {self.bandwidth:g} Hz")
+        for name in ("chirp_rate", "freq_offset", "bandwidth"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def amplitude(self) -> float:

@@ -337,3 +337,36 @@ def test_criterion_11_equivalence_bound_exact():
     _, upper = fb.equivalence_fo_bounds(cfg, 10e6)
     assert upper == 1e10 / 1008
     report(11, f"upper bound {upper:.6f} Hz == f_c/1008 bit-exactly")
+
+
+def test_criterion_12_fgtb_mimo_equivalence_condition():
+    # The FGTB and MIMO patterns differ only by each element's offset-steering phase
+    # 2*pi*m^2*delta_f*d*sin(theta)/c, which is largest at the edge element at endfire.
+    # equivalence_fo_bounds' upper bound f_c/(4M^2 - M) keeps that phase near pi/4.
+    # Rect pulses of 50 ns keep the waveforms coherent (delta_f*T_p < 1) up to 5x the
+    # bound, so the cross terms that carry that phase do not average out.
+    m = 40
+    cfg = make_config(0.0, num_elements=m, pulse=50e-9)
+    rect = fb.rect_pulse(cfg.pulse_duration)
+    _, upper = fb.equivalence_fo_bounds(cfg, rect.bandwidth)
+    edge_phase_at_bound = 2 * np.pi * upper * (m - 1) ** 2 * cfg.spacing / cfg.wave_speed
+    assert edge_phase_at_bound == pytest.approx(np.pi / 4, rel=0.05)
+
+    multiples = (0.1, 0.5, 1.0, 2.0, 5.0)
+    deviation = [fb.compare_fgtb_mimo(cfg, fb.UniformPlan(k * upper), [rect] * m,
+                                      fb.uniform_weights(m), fb.theta_grid(721)).max_deviation
+                 for k in multiples]
+    # the allowance at each offset is phi^2/2 (>= 1 - cos(phi)), the second-order size
+    # of a phase error phi, for that offset's edge phase phi
+    allowance = [(k * edge_phase_at_bound) ** 2 / 2 for k in multiples]
+    for k, dev, allowed in zip(multiples, deviation, allowance):
+        if k <= 1.0:
+            assert dev <= allowed, (k, dev, allowed)
+    assert all(a < b for a, b in zip(deviation, deviation[1:])), deviation
+    # well outside the bound the edge phase passes pi, and the deviation exceeds
+    # anything the phase at the bound allows
+    at_bound = allowance[multiples.index(1.0)]
+    assert deviation[-1] >= at_bound, deviation
+    report(12, "FGTB-MIMO deviation at 0.1/0.5/1/2/5x the upper bound: "
+               + ", ".join(f"{d:.1e}" for d in deviation)
+               + f"; within phi^2/2 inside, monotone, >= {at_bound:.2f} at 5x")

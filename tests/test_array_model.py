@@ -18,6 +18,19 @@ class TestArrayConfig:
             with pytest.raises(ValueError):
                 fb.ArrayConfig(num_elements=4, carrier_freq=1e10, spacing=bad, pulse_duration=5e-6)
 
+    @pytest.mark.parametrize("make", [
+        lambda bad: fb.BasebandWaveform(pulse_duration=bad),
+        lambda bad: fb.BasebandWaveform(pulse_duration=5e-6, chirp_rate=bad),
+        lambda bad: fb.BasebandWaveform(pulse_duration=5e-6, freq_offset=bad),
+        lambda bad: fb.BasebandWaveform(pulse_duration=5e-6, bandwidth=bad),
+        lambda bad: fb.TimeModulatedPlan(form="arctan", rate=bad),
+    ], ids=["pulse_duration", "chirp_rate", "freq_offset", "bandwidth", "time_modulated_rate"])
+    def test_waveform_and_plan_reject_non_finite(self, make):
+        # the same rule as above for library callers, who bypass the CLI's parse-time check
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError):
+                make(bad)
+
     def test_narrowband_ratio(self):
         cfg = make_config(0.0)
         # M*d*B/c with B = 10 MHz

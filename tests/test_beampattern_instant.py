@@ -167,6 +167,18 @@ class TestFieldExact:
             # the row-block sum does the same arithmetic per cell for any block
             assert np.array_equal(got, rows)
 
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0)])
+    @pytest.mark.parametrize("plan", [
+        fb.UniformPlan(200e3),
+        fb.TabulatedPlan(offsets=tuple(np.log(np.arange(16) + 1.0) * 50e3)),
+        fb.TimeModulatedPlan(form="arctan", rate=20e3, time_scale=1e-6),
+    ], ids=["uniform", "tabulated", "time-modulated"])
+    def test_empty_axis_gives_empty_field(self, plan, shape, cfg200k, rect):
+        t = np.linspace(0.0, 5e-6, shape[0])
+        theta = np.linspace(-1.0, 1.0, shape[1])
+        got = exact_field_matrix(cfg200k, plan, fb.uniform_weights(M), rect, t, theta)
+        assert got.shape == shape and got.dtype == complex
+
     @pytest.mark.parametrize("plan", [
         fb.UniformPlan(200e3),
         fb.TimeModulatedPlan(form="arctan", rate=20e3, time_scale=1e-6),
