@@ -87,12 +87,14 @@ def _sqrt_clamped(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(x, 0.0, out=out), out=out)
 
 
-# each form g(x) writes into out, which may be x itself
-_TM_FORMS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "sqrt": _sqrt_clamped,
-    "cbrt": np.cbrt,
-    "arctan": np.arctan,
-    "sinh": np.sinh,
+# form: (g(x, out), writing into out, which may be x itself; the slope d(x*g(x))/dx;
+# whether g is analytic at 0).  Every |slope| is monotone in |x| on either side of 0.
+_TM_FORMS: dict[str, tuple[Callable[[np.ndarray, np.ndarray], np.ndarray],
+                           Callable[[np.ndarray], np.ndarray], bool]] = {
+    "sqrt": (_sqrt_clamped, lambda x: 1.5 * np.sqrt(np.maximum(x, 0.0)), False),
+    "cbrt": (np.cbrt, lambda x: 4.0 / 3.0 * np.cbrt(x), False),
+    "arctan": (np.arctan, lambda x: np.arctan(x) + x / (1.0 + x * x), True),
+    "sinh": (np.sinh, lambda x: np.sinh(x) + x * np.cosh(x), True),
 }
 
 
@@ -122,22 +124,45 @@ class TimeModulatedPlan:
         if not 0 < self.time_scale < np.inf:
             raise ValueError(f"time_scale must be positive and finite, got {self.time_scale}")
 
-    def chi(self, m: int, tau, out: np.ndarray | None = None) -> np.ndarray:
+    def chi(self, m, tau, out: np.ndarray | None = None) -> np.ndarray:
         """Instantaneous frequency offset of element m at local time tau (Hz).
 
-        With out, a float array of tau's shape, the offsets are written into it
-        and out is returned; without it, a scalar tau gives a scalar.  Computes
-        m*rate*g(tau/time_scale) with no temporaries.
+        m is an element index, or an integer array that broadcasts to tau's
+        shape.  With out, a float array of tau's shape, the offsets are written
+        into it and out is returned; without it, a scalar tau gives a scalar.
+        Computes m*rate*g(tau/time_scale) with no temporaries.
         """
         tau = np.asarray(tau, dtype=float)
         # without out, a fresh buffer: 0-d for a scalar tau, as in-place ufuncs need an array
         x = np.empty(tau.shape) if out is None else out
         np.divide(tau, self.time_scale, out=x)
-        np.multiply(m * self.rate, _TM_FORMS[self.form](x, x), out=x)
+        np.multiply(m * self.rate, _TM_FORMS[self.form][0](x, x), out=x)
         return x if out is not None else x[()]
+
+    def phase_slope(self, tau) -> np.ndarray:
+        """h'(tau) in Hz, where h(tau) = chi_1(tau)*tau and element m's offset phase is m*h(tau).
+
+        |h'| is monotone in |tau| on either side of 0.
+        """
+        return self.rate * _TM_FORMS[self.form][1](np.asarray(tau, dtype=float) / self.time_scale)
+
+    @property
+    def smooth(self) -> bool:
+        "Whether g is analytic at 0: the sqrt and cbrt forms have a kink there."
+        return _TM_FORMS[self.form][2]
 
 
 FrequencyPlan = Union[UniformPlan, TabulatedPlan, TimeModulatedPlan]
+
+
+def local_time_ends(config: ArrayConfig, t_prime, radius=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Ends t' -+ radius*(M-1)*d/c of the element-local times tau = t' + m*d*sin(theta)/c.
+
+    At radius 1 they bound tau over every element and azimuth at each retarded time t'.
+    """
+    reach = radius * ((config.num_elements - 1) * config.spacing / config.wave_speed)
+    t_prime = np.asarray(t_prime, dtype=float)
+    return t_prime - reach, t_prime + reach
 
 
 def plan_offsets(plan: FrequencyPlan, num_elements: int) -> np.ndarray:

@@ -14,10 +14,13 @@ t' = t - r/c and azimuth theta:
 Element m's phases have one definition, shared with the integral pattern:
 2*pi*delta_f_m*t' (``array_model.steering_time``) plus
 2*pi*(f_c+delta_f_m)*m*d*sin(theta)/c (``array_model.combined_angle_steering``).
-Time-modulated plans alone replace the offset terms, inside the exact engine,
-which sums them element by element from element 1 on, since element 0's phase
-is zero for every plan: each phase is reduced exactly to a fraction of a cycle
-and turned into its phasor with one tangent.
+Time-modulated plans alone replace the offset terms, inside the exact engine.
+Their element-local phases depend on the azimuth only through sin(theta), so
+most rows interpolate them on Chebyshev nodes in sin(theta) and become one
+low-rank BLAS product; rows where no error bound allows that (near the kink
+of the sqrt and cbrt forms at 0, or where the phase turns too fast) are summed
+element by element.  Either way each phase is reduced exactly to a fraction
+of a cycle and turned into its phasor with one tangent.
 Carrier and 1/r factors are constant-modulus and excluded throughout; pattern
 values are field magnitudes up to a positive constant.
 """
@@ -39,6 +42,7 @@ from .array_model import (
     UniformPlan,
     UnsupportedPlanError,
     combined_angle_steering,
+    local_time_ends,
     steering_time,
 )
 from .waveform import BasebandWaveform
@@ -52,7 +56,23 @@ DB_FLOOR = -60.0
 GRID_MAGIC = b"FDABGRID"
 
 BLOCK_CELLS = 1 << 15
-"Cells per row block of the time-modulated element sum (32 rows at 1024 angles)."
+"""Cells per row block of a time-modulated field (32 rows at 1024 angles).
+
+Each block is one single-threaded BLAS product into its rows, or one
+per-element loop whose buffers are block-sized; the thread pool runs blocks
+side by side."""
+
+TM_SPREAD_CAP = 0.05
+"Phase spread V in cycles from which a time-modulated row takes the per-element loop."
+
+TM_INTERP_TARGET = 1e-17
+"Target of the interpolation error bound that sets the Chebyshev order K."
+
+TM_RADII = 2.0 ** np.arange(11)
+"Radii, in units of the element-local time range, of the disks the error bound may use."
+
+TM_LOOP_ORDERS = 48
+"Cost of one per-element-loop row in units of one interpolation order of a product row."
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,9 +161,9 @@ def _cycle_phasor(cycles: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> N
     np.multiply(t, out.real, out=out.imag)
 
 
-def _time_modulated_field(config: ArrayConfig, plan: TimeModulatedPlan, columns: np.ndarray,
-                          t_prime: np.ndarray, delay: np.ndarray) -> np.ndarray:
-    """Element sum for time-modulated offsets, filled in row blocks.
+def _element_sum(plan: TimeModulatedPlan, carrier_freq: float, columns: np.ndarray,
+                 t_prime: np.ndarray, delay: np.ndarray, out: np.ndarray) -> None:
+    """Element-by-element sum of time-modulated rows, written into out.
 
     columns[i, m] is element m's envelope times conjugate weight at t_i, and
     delay[m, j] = m*d*sin(theta_j)/c.  Element 0's phase is zero for every plan
@@ -152,44 +172,153 @@ def _time_modulated_field(config: ArrayConfig, plan: TimeModulatedPlan, columns:
     stepped.  Element m's phase in cycles, chi_m(tau)*tau + f_c*delay[m, j],
     is built in one buffer from tau = t_i + delay[m, j] and becomes its
     phasor plus one through ``_cycle_phasor``: one exact reduction to
-    [-1/2, 1/2] and one tangent per cell.  The block then accumulates
-    columns[i, m]*(phasor + 1), which restores the subtracted column.  Each
-    block reuses its own buffers, and every cell's arithmetic is independent
-    of the block size and of the thread that fills it.
+    [-1/2, 1/2] and one tangent per cell.  The rows then accumulate
+    columns[i, m]*(phasor + 1), which restores the subtracted column.  Every
+    cell's arithmetic is independent of how many rows are summed at once.
     """
-    n_t, n_theta = t_prime.size, delay.shape[1]
+    np.subtract(columns[:, :1], columns[:, 1:].sum(axis=1, keepdims=True), out=out)
+    # the times copied to full rows, so each step adds its delay row contiguously
+    times = np.broadcast_to(t_prime[:, None], out.shape).copy()
+    tau = np.empty(out.shape)
+    cycles = np.empty(out.shape)
+    term = np.empty(out.shape, dtype=complex)
+    for mi in range(1, delay.shape[0]):
+        np.add(times, delay[mi], out=tau)
+        plan.chi(mi, tau, out=cycles)
+        cycles *= tau
+        cycles += carrier_freq * delay[mi]
+        _cycle_phasor(cycles, term, tau)  # tau is not read again in this step
+        term *= columns[:, mi, None]
+        out += term
+
+
+def _product_rows(config: ArrayConfig, plan: TimeModulatedPlan,
+                  t_prime: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rows that take the low-rank product, and the interpolation order K they share.
+
+    Element m's offset phasor f(x) = exp(2j*pi*m*h(t_i + m*(d/c)*x)) is
+    interpolated in x on [-1, 1], where its phase turns by at most the
+    spread V_i = (M-1)^2*(d/c)*max|h'(tau)| cycles per unit x, over row i's
+    tau range t_i -+ (M-1)*d/c.  |h'| is monotone in |tau|, so the two ends
+    give the maximum.  On a disk of radius r about any point of [-1, 1] the
+    same holds with the range widened (1 + r)-fold, so Cauchy's estimate for
+    f minus its value at the centre, in the Chebyshev remainder
+    max|f^(K)|/(2^(K-1)*K!), bounds the error by
+    2*(exp(2*pi*r*V_i(r)) - 1)/(2r)^K.  Row i's order K_i is the smallest
+    whose bound meets TM_INTERP_TARGET at the best radius in TM_RADII.  A
+    disk is not used if its tau range reaches the kink of a sqrt or cbrt form
+    at 0, or half the time scale (arctan has poles at +-1j*time_scale).  Rows
+    with V_i at or above TM_SPREAD_CAP, or overflowing, have no order.  The
+    shared K minimizes K*(rows with K_i <= K) + TM_LOOP_ORDERS*(rows left to
+    the loop).
+    """
+    widths = 1.0 + np.append(0.0, TM_RADII)[:, None]
+    lo, hi = local_time_ends(config, t_prime, widths)  # row 0: the tau range itself
+    scale = (config.num_elements - 1) ** 2 * config.spacing / config.wave_speed
+    radius = TM_RADII[:, None]
+    with np.errstate(all="ignore"):  # an h' that overflows gives no order: the loop row
+        spread = scale * np.maximum(np.abs(plan.phase_slope(lo)), np.abs(plan.phase_slope(hi)))
+        bound = 2.0 * np.expm1(2.0 * np.pi * radius * spread[1:]) / TM_INTERP_TARGET
+        orders = np.ceil(np.log(bound) / np.log(2.0 * radius))
+    orders[(hi[1:] - t_prime) * 2.0 > plan.time_scale] = np.inf
+    if not plan.smooth:
+        orders[(lo[1:] <= 0.0) & (hi[1:] >= 0.0)] = np.inf
+    # fmin skips a nan order; an order below 1 (no spread) is 1
+    order = np.where(spread[0] < TM_SPREAD_CAP, np.maximum(np.fmin.reduce(orders), 1.0), np.inf)
+    ranked = np.sort(order)
+    taken = np.arange(1, ranked.size + 1)
+    cost = ranked * taken + TM_LOOP_ORDERS * (ranked.size - taken)
+    best = int(np.argmin(cost))
+    if not cost[best] < TM_LOOP_ORDERS * ranked.size:
+        return np.zeros(ranked.size, dtype=bool), 0
+    return order <= ranked[best], int(ranked[best])
+
+
+def _chebyshev_basis(order: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First-kind Chebyshev nodes x_k on [-1, 1] and their Lagrange basis l_k(s), shape (K, s.size).
+
+    Second (true) barycentric form with the nodes' weights
+    (-1)^k*sin((2k+1)*pi/(2K)) (Berrut & Trefethen, SIAM Review 2004).  A
+    point equal to a node takes that node's unit column.
+    """
+    angles = (2 * np.arange(order) + 1) * np.pi / (2 * order)
+    nodes = np.cos(angles)
+    weights = np.sin(angles)
+    weights[1::2] *= -1.0
+    diff = s - nodes[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        basis = weights[:, None] / diff
+        basis /= basis.sum(axis=0)
+    hit = diff == 0.0
+    on_node = hit.any(axis=0)
+    basis[:, on_node] = hit[:, on_node]
+    return nodes, basis
+
+
+def _time_modulated_field(config: ArrayConfig, plan: TimeModulatedPlan, columns: np.ndarray,
+                          t_prime: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Field of a time-modulated plan, filled in row blocks: a low-rank product or the loop.
+
+    Element m's offset phasor exp(2j*pi*chi_m(tau)*tau) depends on the azimuth
+    only through x = sin(theta) at tau = t_i + m*(d/c)*x, so on the rows
+    ``_product_rows`` selects it is interpolated in x on K Chebyshev nodes, and
+    field[i, j] = columns[i, 0] + sum_{m>=1,k} L[i, (m, k)]*R[(m, k), j] with
+    L[i, (m, k)] = columns[i, m]*exp(2j*pi*chi_m(tau_ik)*tau_ik), tau_ik = t_i + m*(d/c)*x_k,
+    R[(m, k), j] = l_k(sin(theta_j))*exp(2j*pi*f_c*m*(d/c)*sin(theta_j)),
+    and element 0 as L's first column against a row of ones (the Chebyshev
+    low-rank kernel of Fong & Darve, J. Comput. Phys. 2009).  Other rows
+    take ``_element_sum``.  Every phase is reduced exactly by
+    ``_cycle_phasor``, the carrier phase formed as f_c*delay[m] as the loop
+    forms it.  Blocks of rows with one route share a thread pool, each block
+    one BLAS product into its rows of the field or one loop.
+    """
+    n_t, n_theta = t_prime.size, theta.size
     field = np.empty((n_t, n_theta), dtype=complex)
     if field.size == 0:
         return field
+    index = config.element_index
+    step = index * (config.spacing / config.wave_speed)
+    sin_theta = np.sin(theta)
+    delay = np.outer(step, sin_theta)
+    product, order = _product_rows(config, plan, t_prime)
+    if order:
+        nodes, basis = _chebyshev_basis(order, sin_theta)
+        node_delay = np.outer(step[1:], nodes)
+        carrier = np.empty(delay[1:].shape, dtype=complex)
+        _cycle_phasor(config.carrier_freq * delay[1:], carrier, np.empty(carrier.shape))
+        carrier.real -= 1.0
+        right = np.empty((1 + node_delay.size, n_theta), dtype=complex)
+        right[0] = 1.0
+        np.multiply(carrier[:, None], basis, out=right[1:].reshape(-1, nodes.size, n_theta))
+
+    def fill(start: int, stop: int) -> None:
+        if not product[start]:
+            _element_sum(plan, config.carrier_freq, columns[start:stop], t_prime[start:stop],
+                         delay, field[start:stop])
+            return
+        tau = t_prime[start:stop, None, None] + node_delay
+        cycles = plan.chi(index[1:, None], tau) * tau
+        left = np.empty((stop - start, 1 + node_delay.size), dtype=complex)
+        left[:, 0] = columns[start:stop, 0]
+        phasor = left[:, 1:].reshape(tau.shape)  # a view: the phasors land in left
+        _cycle_phasor(cycles, phasor, tau)
+        phasor.real -= 1.0
+        phasor *= columns[start:stop, 1:, None]
+        np.matmul(left, right, out=field[start:stop])
+
     rows = max(1, BLOCK_CELLS // n_theta)
-    carrier_delay = config.carrier_freq * delay
+    # runs of rows with one route, cut into blocks of at most `rows`
+    cuts = [0, *(np.flatnonzero(np.diff(product)) + 1).tolist(), n_t]
+    blocks = [(start, min(start + rows, stop)) for run, stop in zip(cuts, cuts[1:])
+              for start in range(run, stop, rows)]
 
-    def fill(start: int) -> None:
-        cols = columns[start:start + rows]
-        acc = field[start:start + rows]
-        np.subtract(cols[:, :1], cols[:, 1:].sum(axis=1, keepdims=True), out=acc)
-        # the block's times copied to full rows, so each step adds its delay row contiguously
-        times = np.broadcast_to(t_prime[start:start + rows, None], acc.shape).copy()
-        tau = np.empty(acc.shape)
-        cycles = np.empty(acc.shape)
-        term = np.empty(acc.shape, dtype=complex)
-        for mi in range(1, delay.shape[0]):
-            np.add(times, delay[mi], out=tau)
-            plan.chi(mi, tau, out=cycles)
-            cycles *= tau
-            cycles += carrier_delay[mi]
-            _cycle_phasor(cycles, term, tau)  # tau is not read again in this step
-            term *= cols[:, mi, None]
-            acc += term
-
-    # numpy ufuncs release the GIL; imported here to keep it off the CLI's start-up path
+    # numpy ufuncs and BLAS release the GIL; imported here to keep it off the CLI's start-up path
     from concurrent.futures import ThreadPoolExecutor
 
-    starts = range(0, n_t, rows)
     # the CPUs this process may run on; only Linux has an affinity set
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ThreadPoolExecutor(min(cpus or 1, len(starts))) as pool:
-        for done in [pool.submit(fill, start) for start in starts]:
+    with ThreadPoolExecutor(min(cpus or 1, len(blocks))) as pool:
+        for done in [pool.submit(fill, *block) for block in blocks]:
             done.result()
     return field
 
@@ -219,9 +348,7 @@ def exact_field_matrix(config: ArrayConfig, plan: FrequencyPlan,
     columns = np.stack([wf.sample(t_prime) for wf in wfs], axis=1) * wc
 
     if isinstance(plan, TimeModulatedPlan):
-        delay = np.outer(config.element_index * (config.spacing / config.wave_speed),
-                         np.sin(theta))
-        return _time_modulated_field(config, plan, columns, t_prime, delay)
+        return _time_modulated_field(config, plan, columns, t_prime, theta)
 
     return (steering_time(config, plan, t_prime) * columns) \
         @ combined_angle_steering(config, plan, theta).T

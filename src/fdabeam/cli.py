@@ -34,6 +34,7 @@ from .array_model import (
     TabulatedPlan,
     TimeModulatedPlan,
     UniformPlan,
+    local_time_ends,
     plan_offsets,
     random_unimodular_weights,
     reference_wavelength,
@@ -147,9 +148,31 @@ def _check_cells(where: str, what: str, cells: int) -> None:
             f"{where}: {what} need {cells} cells, over the budget of {MAX_CELLS}")
 
 
+def _pulse_local_times(config: ArrayConfig) -> np.ndarray:
+    """Element-local times tau at the ends of the pulse's rows, t' = 0 and t' = T_p.
+
+    The outer two, -(M-1)d/c and T_p + (M-1)d/c, bound every tau the engine
+    evaluates; a quantity monotone in |tau| on either side of 0 is largest at one of them.
+    """
+    return np.ravel(local_time_ends(config, (0.0, config.pulse_duration)))
+
+
 def _check_element_frequencies(where: str, config: ArrayConfig, plan: FrequencyPlan) -> None:
-    "Every element frequency f_c + offset_m of a static plan must be positive."
-    if config.carrier_freq + plan_offsets(plan, config.num_elements).min() <= 0:
+    """Every element frequency must be positive.
+
+    That is f_c + offset_m for a static plan, and f_c + chi_m(tau) within the
+    pulse for a time-modulated one: chi_m = m*rate*g with g monotone, so the
+    last element at the ends of the tau range has the lowest.
+    """
+    if isinstance(plan, TimeModulatedPlan):
+        with np.errstate(all="ignore"):
+            lowest = config.carrier_freq + plan.chi(config.num_elements - 1,
+                                                    _pulse_local_times(config)).min()
+        if not lowest > 0:
+            raise ScenarioValidationError(
+                f"{where}: element frequency f_c + chi_m(tau) reaches {lowest:g} Hz within the "
+                f"pulse; every element frequency must be positive")
+    elif config.carrier_freq + plan_offsets(plan, config.num_elements).min() <= 0:
         raise ScenarioValidationError(
             f"{where}: every element frequency f_c + offset_m must be positive")
 
@@ -161,21 +184,18 @@ MAX_PHASE_CYCLES = 2.0 ** 52
 def _check_phase_cycles(config: ArrayConfig, plan: TimeModulatedPlan) -> None:
     """Every element's phase chi_m(tau)*tau must be finite and below MAX_PHASE_CYCLES.
 
-    The engine evaluates it for tau in [-(M-1)d/c, T_p + (M-1)d/c].  For the
-    analytic forms |chi_m(tau)*tau| = |m*rate|*|g(x)*x|*time_scale with
-    x = tau/time_scale does not fall as |tau| or m grows, so the ends of that
-    range bound it at the last element; element 0 is checked next, because
-    0*rate*g(x) is not finite where g(x) overflows.
+    For the analytic forms |chi_m(tau)*tau| = |m*rate|*|g(x)*x|*time_scale
+    with x = tau/time_scale does not fall as |tau| or m grows, so the ends of
+    the pulse's tau range bound it at the last element.
     """
-    reach = (config.num_elements - 1) * config.spacing / config.wave_speed
-    tau = np.array([-reach, config.pulse_duration + reach])
-    for m in (config.num_elements - 1, 0):
-        with np.errstate(all="ignore"):
-            cycles = np.abs(plan.chi(m, tau) * tau).max()
-        if not cycles < MAX_PHASE_CYCLES:
-            raise ScenarioValidationError(
-                f"plan: element {m}'s time-modulated phase reaches {cycles:g} cycles within "
-                f"the pulse; it must be finite and below 2**52 cycles")
+    m = config.num_elements - 1
+    tau = _pulse_local_times(config)
+    with np.errstate(all="ignore"):
+        cycles = np.abs(plan.chi(m, tau) * tau).max()
+    if not cycles < MAX_PHASE_CYCLES:
+        raise ScenarioValidationError(
+            f"plan: element {m}'s time-modulated phase reaches {cycles:g} cycles within "
+            f"the pulse; it must be finite and below 2**52 cycles")
 
 
 def _samples(sec: configparser.SectionProxy, key: str, fallback: int, *rows: int) -> int:
@@ -627,6 +647,7 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
         raise ScenarioValidationError(f"array: {exc}") from exc
     if isinstance(plan, TimeModulatedPlan):
         _check_phase_cycles(config, plan)
+        _check_element_frequencies("plan", config, plan)
 
     weights = _parse_weights(parser["weights"], config, plan, seed)
     waveforms = _parse_waveforms(parser["waveforms"], config)
@@ -691,9 +712,11 @@ def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | Non
 def _one_blas_thread():
     """Run the block's BLAS on one thread, restoring the previous count on exit.
 
-    After a threaded product OpenBLAS's helper thread busy-waits for about
-    125 ms of CPU, which on two CPUs takes a whole core from the time-modulated
-    kernel's workers in the next grid; the products here are small enough that
+    The time-modulated kernel runs its row-block products side by side on a
+    pool with one worker per CPU, and a threaded OpenBLAS under each would
+    oversubscribe the CPUs.  After a threaded product OpenBLAS's helper thread
+    also busy-waits for about 125 ms of CPU, which on two CPUs takes a whole
+    core from the next grid.  The other products here are small enough that
     one thread loses little.
     """
     blas = _openblas_threads()

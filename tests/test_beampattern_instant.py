@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 import fdabeam as fb
 from fdabeam.beampattern_instant import (
     BLOCK_CELLS,
+    _chebyshev_basis,
     _cycle_phasor,
+    _element_sum,
+    _product_rows,
     exact_field_matrix,
     grid_from_binary,
     grid_from_csv,
@@ -110,20 +113,21 @@ class TestFieldExact:
         fb.TimeModulatedPlan(form="sinh", rate=20e3, time_scale=1e-6),
     ], ids=["sqrt", "cbrt", "arctan", "sinh"])
     def test_time_modulated_grid_error_against_longdouble_sum(self, plan, cfg200k):
-        # the engine sums columns*(phasor + 1) and subtracts sum(columns) once per row;
-        # that cancellation may cost only a few ulps of the peak bound M*max|column|.
-        # The reference forms each phase in cycles as the engine does, in float64, and
-        # reduces, exponentiates and sums it in long double; the oracle test above
-        # checks the phases themselves.
+        # the per-element loop, which serves the rows the low-rank product does not, sums
+        # columns*(phasor + 1) and subtracts sum(columns) once per row; that cancellation
+        # may cost only a few ulps of the peak bound M*max|column|.  The reference forms
+        # each phase in cycles as the loop does, in float64, and reduces, exponentiates
+        # and sums it in long double; the oracle test above checks the phases themselves.
         bank = fb.make_chirp_bank(cfg200k)
         t = np.linspace(0.0, 5e-6, N_BLOCKS_T)
         theta = fb.theta_grid(N_THETA)
         w_t = fb.random_unimodular_weights(t.size * M, seed=8).reshape(t.size, M)
-        got = exact_field_matrix(cfg200k, plan, w_t, bank, t, theta)
         rows = np.arange(0, t.size, 11)
         columns = np.stack([wf.sample(t[rows]) for wf in bank], axis=1) * np.conj(w_t[rows])
         delay = np.outer(cfg200k.element_index * (cfg200k.spacing / cfg200k.wave_speed),
                          np.sin(theta))
+        got = np.empty((rows.size, theta.size), dtype=complex)
+        _element_sum(plan, cfg200k.carrier_freq, columns, t[rows], delay, got)
         two_pi = 8 * np.arctan(np.longdouble(1))
         want = np.zeros((rows.size, theta.size), dtype=np.clongdouble)
         for m in range(M):
@@ -132,8 +136,113 @@ class TestFieldExact:
             cycles = cycles.astype(np.longdouble)
             phase = two_pi * (cycles - np.rint(cycles))
             want += columns[:, m, None] * (np.cos(phase) + 1j * np.sin(phase))
-        error = np.abs(got[rows] - want).max() / (M * np.abs(columns).max())
+        error = np.abs(got - want).max() / (M * np.abs(columns).max())
         assert error <= 4e-15
+
+    @pytest.mark.parametrize("plan, loop_error", [
+        (fb.TimeModulatedPlan(form="sqrt", rate=50e3, time_scale=1e-6), 3.8e-15),
+        (fb.TimeModulatedPlan(form="cbrt", rate=50e3, time_scale=1e-6), 3.4e-15),
+        (fb.TimeModulatedPlan(form="arctan", rate=50e3, time_scale=1e-6), 2.8e-15),
+        (fb.TimeModulatedPlan(form="sinh", rate=20e3, time_scale=1e-6), 5.1e-14),
+        (fb.TimeModulatedPlan(form="sinh", rate=20e3, time_scale=2e-6), 6.2e-15),
+        (fb.TimeModulatedPlan(form="sqrt", rate=100e3, time_scale=0.5e-6), 7.9e-15),
+        (fb.TimeModulatedPlan(form="arctan", rate=100e3, time_scale=0.5e-6), 4.4e-15),
+    ], ids=["sqrt", "cbrt", "arctan", "sinh", "sinh-2us", "sqrt-steep", "arctan-steep"])
+    def test_low_rank_rows_error_against_longdouble_phases(self, plan, loop_error, cfg200k):
+        # every phase, chi_m(tau)*tau + f_c*m*(d/c)*sin(theta), is formed in long double from
+        # the float64 inputs.  loop_error is the largest error the per-element loop makes on
+        # these rows (in units of M*max|column|), measured with every row on the loop; the
+        # product's own rounding, interpolation and BLAS order must not exceed it
+        bank = fb.make_chirp_bank(cfg200k)
+        t = np.linspace(0.0, 5e-6, N_BLOCKS_T)
+        theta = fb.theta_grid(N_THETA)
+        w_t = fb.random_unimodular_weights(t.size * M, seed=8).reshape(t.size, M)
+        product, _ = _product_rows(cfg200k, plan, t)
+        assert product.sum() >= 60
+        got = exact_field_matrix(cfg200k, plan, w_t, bank, t, theta)[product]
+        columns = (np.stack([wf.sample(t) for wf in bank], axis=1) * np.conj(w_t))[product]
+        ld = np.longdouble
+        g = {"sqrt": lambda x: np.sqrt(np.maximum(x, 0)), "cbrt": np.cbrt,
+             "arctan": np.arctan, "sinh": np.sinh}[plan.form]
+        d_over_c = ld(cfg200k.spacing) / ld(cfg200k.wave_speed)
+        two_pi = 8 * np.arctan(ld(1))
+        want = np.zeros(got.shape, dtype=np.clongdouble)
+        for m in range(M):
+            delay = m * d_over_c * np.sin(theta).astype(ld)
+            tau = t[product, None].astype(ld) + delay
+            cycles = m * ld(plan.rate) * g(tau / ld(plan.time_scale)) * tau \
+                + ld(cfg200k.carrier_freq) * delay
+            phase = two_pi * (cycles - np.rint(cycles))
+            want += columns[:, m, None] * (np.cos(phase) + 1j * np.sin(phase))
+        error = np.abs(got - want).max() / (M * np.abs(columns).max())
+        assert error <= loop_error
+
+    @pytest.mark.parametrize("form", ["sqrt", "cbrt"])
+    def test_rows_at_the_kink_take_the_loop(self, form, cfg200k):
+        # tau = t' -+ (M-1)d/c straddles g's kink at 0 on the row t' = 0 only
+        t = np.linspace(0.0, 5e-6, 512)
+        product, order = _product_rows(cfg200k, fb.TimeModulatedPlan(form, 60e3, 1e-6), t)
+        assert not product[0] and product[-400:].all() and 1 <= order <= 12
+
+    def test_steep_sinh_late_rows_take_the_loop(self, cfg200k):
+        # about 22 cycles of scan: the spread reaches TM_SPREAD_CAP well inside the pulse
+        t = np.linspace(0.0, 5e-6, 512)
+        product, _ = _product_rows(cfg200k, fb.TimeModulatedPlan("sinh", 60e3, 1e-6), t)
+        assert product[:300].all() and not product[-100:].any()
+
+    @pytest.mark.parametrize("rate", [20e3, 60e3, 100e3])
+    @pytest.mark.parametrize("time_scale", [0.5e-6, 1e-6, 2e-6])
+    def test_arctan_rows_take_the_product(self, rate, time_scale, cfg200k):
+        t = np.linspace(0.0, 5e-6, 512)
+        product, order = _product_rows(cfg200k, fb.TimeModulatedPlan("arctan", rate, time_scale),
+                                       t)
+        assert product.all() and order <= 8
+
+    def test_rows_near_the_kink_on_a_fine_grid(self, cfg200k):
+        # a 1 ns time step puts rows a few element-local ranges past sqrt's kink at 0,
+        # where the interpolant converges slowly: they must still match the oracle
+        plan = fb.TimeModulatedPlan("sqrt", 50e3, 1e-6)
+        bank = fb.make_chirp_bank(cfg200k)
+        t = np.append(np.linspace(0.0, 5e-6, 5001)[:12], 5e-6)
+        theta = fb.theta_grid(64)
+        w = fb.random_unimodular_weights(M, seed=2)
+        got = exact_field_matrix(cfg200k, plan, w, bank, t, theta)
+        for i in range(1, 12):
+            for j in range(0, 64, 7):
+                want = time_modulated_oracle(cfg200k, plan, w, bank, t[i], theta[j])
+                assert abs(got[i, j] - want) <= 1e-13 * M * abs(bank[0].sample(t[i])), (i, j)
+
+    def test_azimuth_at_a_chebyshev_node(self, cfg200k, rect):
+        # sin(theta) equal to an interpolation node takes that node's unit basis column
+        plan = fb.TimeModulatedPlan("arctan", 50e3, 1e-6)
+        t = np.linspace(0.0, 5e-6, 40)
+        _, order = _product_rows(cfg200k, plan, t)
+        nodes = _chebyshev_basis(order, np.zeros(1))[0]
+        theta = []
+        for x in nodes[[0, order // 2, -1]]:
+            th = np.arcsin(x)
+            while np.sin(th) != x:
+                th = np.nextafter(th, np.inf if np.sin(th) < x else -np.inf)
+            theta.append(th)
+        theta = np.sort(np.append(theta, [-1.0, 0.3]))
+        w = fb.random_unimodular_weights(M, seed=9)
+        with np.errstate(all="raise"):
+            got = exact_field_matrix(cfg200k, plan, w, rect, t, theta)
+        assert np.isfinite(got).all()
+        for i in range(0, t.size, 7):
+            for j, th in enumerate(theta):
+                want = time_modulated_oracle(cfg200k, plan, w, [rect] * M, t[i], th)
+                assert got[i, j] == pytest.approx(want, rel=1e-10, abs=1e-12 / SQRT_TP)
+
+    @pytest.mark.parametrize("form", ["sqrt", "arctan", "sinh"])
+    def test_single_element_time_modulated(self, form, rect):
+        # one element has no offset phase: the field is its weighted envelope at every azimuth
+        cfg = make_config(0.0, num_elements=1)
+        t = np.linspace(0.0, 5e-6, 9)
+        theta = fb.theta_grid(16)
+        got = exact_field_matrix(cfg, fb.TimeModulatedPlan(form, 50e3, 1e-6), np.array([1j]),
+                                 rect, t, theta)
+        assert np.array_equal(got, np.broadcast_to(-1j * rect.sample(t)[:, None], got.shape))
 
     def test_cycle_phasor_edge_cases(self):
         # integers, half-integers, near +-1/4, negatives and counts far beyond one cycle
@@ -161,11 +270,10 @@ class TestFieldExact:
         got = exact_field_matrix(cfg200k, plan, w_t, rect, t, theta)
         rows = np.stack([exact_field_matrix(cfg200k, plan, w_t[i], rect, t[i:i + 1], theta)[0]
                          for i in range(t.size)])
-        # one matmul against per-row products: summation order may differ
+        # one matmul against per-row products: summation order may differ.  A time-modulated
+        # row is one BLAS product too, whose order depends on its block and on the
+        # interpolation order its call chose
         assert np.allclose(got, rows, rtol=0, atol=1e-12 * M / SQRT_TP)
-        if isinstance(plan, fb.TimeModulatedPlan):
-            # the row-block sum does the same arithmetic per cell for any block
-            assert np.array_equal(got, rows)
 
     @pytest.mark.parametrize("shape", [(0, 4), (3, 0)])
     @pytest.mark.parametrize("plan", [

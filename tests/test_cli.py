@@ -364,6 +364,14 @@ class TestMainVerbs:
          "plan: element 7's time-modulated phase reaches 4.55284e+21 cycles"),
         ("[plan]\ntype = time-modulated\nform = table\n[fitb_grid]\n",
          "plan: unknown time-modulated form 'table'"),
+        # chi_15 = 15*(-100 kHz)*sinh(10) is about -16.5 GHz at the pulse end
+        ("[array]\nelements = 16\ncarrier = 10 GHz\npulse = 5 us\n"
+         "[plan]\ntype = time-modulated\nform = sinh\nrate = -100 kHz\ntime_scale = 0.5 us\n"
+         "[fitb_grid]\n",
+         "plan: element frequency f_c + chi_m(tau) reaches -6.54465e+09 Hz within the pulse"),
+        # chi_7 = 7*(-2 GHz)*arctan(5) is about -19.2 GHz at the pulse end
+        ("[plan]\ntype = time-modulated\nform = arctan\nrate = -2 GHz\n[fitb_grid]\n",
+         "plan: element frequency f_c + chi_m(tau) reaches -9.2"),
         # r/c is 3.3e11 s, where float64 steps by 6.1e-5 s: four instants of a 5 us pulse collapse
         ("[legacy_grid]\nranges = 18 km, 1e17 km\ntime_samples = 4\n",
          "legacy_grid.ranges: at '1e17 km', r/c + t takes fewer than 4 distinct float64 values"),
@@ -389,6 +397,7 @@ class TestMainVerbs:
             "fgtb-nonpositive-frequency", "mimo-nonpositive-frequency", "legacy-negative-range",
             "legacy-zero-range", "zero-time-cut-negative-spacing", "time-modulated-phase-overflow",
             "time-modulated-phase-beyond-2-52", "time-modulated-table-form",
+            "time-modulated-negative-frequency", "time-modulated-arctan-negative-frequency",
             "legacy-range-beyond-axis", "chirp-bank-bandwidth", "rect-base-rate", "rect-rate-step",
             "rect-negative-bandwidth"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, verb, body, expected):
@@ -596,6 +605,10 @@ def _evaluations(draw):
          evaluation=("fitb_grid", {"time_samples": "2", "angle_samples": "2"}))
 @example(elements="4", plan=_PLANS[0], weights=_WEIGHTS[0], waveforms=_WAVEFORMS[0],
          evaluation=("legacy_grid", {"ranges": "1e17 km", "time_samples": "4"}))
+# sinh(707) is finite and the phase small, but h' = rate*(sinh(x) + x*cosh(x)) overflows
+@example(elements="4", plan="type = time-modulated\nform = sinh\nrate = 1e-300 Hz\n"
+         "time_scale = 7.07 ns", weights=_WEIGHTS[0], waveforms=_WAVEFORMS[0],
+         evaluation=("fitb_grid", {"time_samples": "3", "angle_samples": "5"}))
 def test_validate_ok_means_run_ok(elements, plan, weights, waveforms, evaluation):
     """A scenario that validate accepts also runs: exit 0 and no warning of any kind.
 
