@@ -9,8 +9,8 @@ suite failed) or "SURVIVED".  The working tree is never modified.  The
 unmutated copy runs first: if it fails, no verdict would mean anything.
 
 It is not part of the test suite.  A full pass runs the suite once more than
-there are mutants: on a 2-core Xeon, about 20 s per survivor and 3-20 s per
-killed mutant, under three minutes in all.
+there are mutants: on a 2-core Xeon, about 25 s per survivor and 3-25 s per
+killed mutant, about five minutes in all.
 
 Usage:
     python scripts/mutation_audit.py            # every mutant
@@ -32,13 +32,19 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # (name, file under src/fdabeam, old text occurring exactly once, new text)
 MUTANTS = (
-    ("trapezoid-end-weights", "beampattern_integral.py",
-     "    weights[0] *= 0.5\n    weights[-1] *= 0.5\n", ""),
+    ("panel-weights-doubled", "beampattern_integral.py",
+     "np.tile(0.5 * width * node_weights, panels)", "np.tile(width * node_weights, panels)"),
     ("fgtb-without-1/Tp", "beampattern_integral.py",
      "return _steered_power(r, w, steer) / config.pulse_duration",
      "return _steered_power(r, w, steer)"),
-    ("samples-per-cycle-3", "beampattern_integral.py",
-     "SAMPLES_PER_CYCLE = 8", "SAMPLES_PER_CYCLE = 3"),
+    ("panel-cycles-13", "beampattern_integral.py",
+     "PANEL_CYCLES = 9.5", "PANEL_CYCLES = 13.0"),
+    ("panel-order-24", "beampattern_integral.py",
+     "PANEL_ORDER = 32", "PANEL_ORDER = 24"),
+    ("rate-without-sweep-spread", "beampattern_integral.py",
+     "return float(max(np.ptp(start), np.ptp(end), declared))", "return float(declared)"),
+    ("offsets-not-folded", "beampattern_integral.py",
+     "with_freq_offset(wf, off).sample(t)", "wf.sample(t)"),
     ("mimo-compare-fda-side-unsteered", "beampattern_integral.py",
      "combined_angle_steering(config, p, theta))",
      "combined_angle_steering(config, UniformPlan(0.0), theta))"),

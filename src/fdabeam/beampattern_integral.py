@@ -2,16 +2,18 @@
 
 The integral beampattern measures the energy radiated toward each azimuth over
 one pulse.  It reduces to a quadratic form in the transmitted-waveform
-covariance matrix, which this module assembles by composite-trapezoid
-quadrature with the per-element offset phases of a frequency plan inside the
-integral.  The co-located MIMO pattern is the same construction at zero
-offsets: its covariance is the UniformPlan(0.0) covariance of basebands that
-carry the offsets themselves (Stoica, Li & Xie, IEEE TSP 2007, for the
+covariance matrix, which this module assembles by composite Gauss-Legendre
+quadrature (Golub & Welsch, Math. Comp. 1969) on panels of at most PANEL_CYCLES
+integrand cycles, with the offsets of a frequency plan folded into each
+waveform's frequency.  The co-located MIMO pattern is the same construction at
+zero offsets: its covariance is the UniformPlan(0.0) covariance of basebands
+that carry the offsets themselves (Stoica, Li & Xie, IEEE TSP 2007, for the
 covariance view a^H R a).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,17 +34,22 @@ from .waveform import BasebandWaveform, with_freq_offset
 
 HERMITIAN_TOL = 1e-10
 PSD_TOL_FACTOR = 1e-8  # eigenvalues above -factor*trace count as quadrature noise
-MIN_QUADRATURE_SAMPLES = 4096
-SAMPLES_PER_CYCLE = 8
+# Composite Gauss-Legendre rule: PANEL_ORDER nodes per panel of at most PANEL_CYCLES
+# integrand cycles.  On the Bernstein ellipse rho = e^u a quadratic-phase integrand of C
+# cycles per panel has modulus at most g = exp(pi*C*sinh(u)*max(1, cosh(u)/2)), so by
+# Trefethen (SIAM Review 2008, Thm 4.5) a 1/T_p-scaled entry is off by at most
+# (32/15)*g*rho^(-2n)/(rho^2 - 1): 1.2e-15 at n = 32, C = 9.5 and cosh(u) = 2.
+PANEL_ORDER = 32
+PANEL_CYCLES = 9.5
 
 
 class SamplingError(ValueError):
-    "Raised when the quadrature grid undersamples the integrand."
+    "Raised when a quadrature panel would hold more integrand cycles than PANEL_CYCLES."
 
 
 @dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
-    "M x M Hermitian waveform covariance and the quadrature sample count behind it."
+    "M x M Hermitian waveform covariance and the quadrature node count behind it."
 
     entries: np.ndarray
     n_quadrature: int
@@ -71,69 +78,79 @@ class CovarianceMatrix:
         return float(np.abs(off).max()) if self.num_elements > 1 else 0.0
 
 
-def _integrand_rate(waveforms: Sequence[BasebandWaveform],
-                    plan: FrequencyPlan, num_elements: int) -> float:
+def _integrand_rate(waveforms: Sequence[BasebandWaveform], offsets: np.ndarray) -> float:
     """Fastest frequency content of the covariance integrand in Hz.
 
-    The widest baseband plus the extent of the offset set: M*delta_f for
-    uniform plans, the offset range for tabulated plans.
+    Entry (m, n) sweeps at f_m(t) - f_n(t), where f_m(t) = chirp_rate_m*t + freq_offset_m
+    + df_m is linear in t, so no entry sweeps faster than the spread of the f_m at t = 0
+    or at T_p.  Chirps of opposite sweep reach the sum of their bandwidths there.  The
+    declared bandwidths set a floor: the widest baseband plus the extent of the offsets.
     """
-    b_max = max((wf.bandwidth + abs(wf.freq_offset) for wf in waveforms), default=0.0)
-    if isinstance(plan, UniformPlan):
-        span = num_elements * abs(plan.delta_f)
-    else:
-        offsets = plan_offsets(plan, num_elements)
-        span = float(offsets.max() - offsets.min()) if offsets.size else 0.0
-    return b_max + span
+    tp = waveforms[0].pulse_duration
+    start = np.array([wf.freq_offset for wf in waveforms]) + offsets
+    end = start + tp * np.array([wf.chirp_rate for wf in waveforms])
+    declared = max(wf.bandwidth + abs(wf.freq_offset) for wf in waveforms) + np.ptp(offsets)
+    return float(max(np.ptp(start), np.ptp(end), declared))
 
 
-def _samples_for(pulse_duration: float, rate: float) -> int:
-    "At least 8 samples per fastest integrand cycle over the pulse, floor 4096."
-    return max(MIN_QUADRATURE_SAMPLES,
-               int(math.ceil(SAMPLES_PER_CYCLE * pulse_duration * rate)))
+@functools.cache
+def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
+    "Gauss-Legendre nodes and weights on [-1, 1], loading numpy.polynomial on first use."
+    return np.polynomial.legendre.leggauss(PANEL_ORDER)
+
+
+def _panels_for(pulse_duration: float, rate: float) -> int:
+    "Fewest panels that hold at most PANEL_CYCLES integrand cycles each."
+    return max(1, math.ceil(pulse_duration * rate / PANEL_CYCLES))
 
 
 def default_quadrature_samples(config: ArrayConfig,
                                waveforms: Sequence[BasebandWaveform],
                                plan: FrequencyPlan) -> int:
-    "Trapezoid sample count: at least 8 samples per fastest integrand cycle, floor 4096."
-    return _samples_for(config.pulse_duration,
-                        _integrand_rate(waveforms, plan, config.num_elements))
+    "Gauss-Legendre node count: PANEL_ORDER per panel of at most PANEL_CYCLES cycles."
+    rate = _integrand_rate(list(waveforms), plan_offsets(plan, config.num_elements))
+    return PANEL_ORDER * _panels_for(config.pulse_duration, rate)
 
 
 def covariance(waveforms: Sequence[BasebandWaveform],
                plan: FrequencyPlan,
                n_quadrature: int | None = None) -> CovarianceMatrix:
-    """Waveform covariance by composite trapezoid quadrature over [0, T_p].
+    """Waveform covariance by composite Gauss-Legendre quadrature over [0, T_p].
 
     Entry (m, n) is the integral of s_m(t) * conj(s_n(t)) * exp(j*2*pi*(df_m - df_n)*t),
     with df_m the plan's offsets for the M waveforms; UniformPlan(0.0) gives the
-    covariance of the bare basebands.  The matrix is assembled as a weighted Gram
-    matrix, so it is Hermitian and positive semidefinite by construction.
+    covariance of the bare basebands.  n_quadrature is the node count, a whole number of
+    PANEL_ORDER-node panels of equal width, by default the fewest that keep each panel
+    within PANEL_CYCLES cycles; fewer raise SamplingError.  The matrix is assembled as a
+    Gram matrix with positive weights, so it is Hermitian and positive semidefinite by
+    construction.
     """
     waveforms = list(waveforms)
-    m_count = len(waveforms)
     tp = waveforms[0].pulse_duration
     if any(wf.pulse_duration != tp for wf in waveforms):
         raise ValueError("all waveforms must share the pulse duration")
 
-    offsets = plan_offsets(plan, m_count)
-    rate = _integrand_rate(waveforms, plan, m_count)
-    required = 2.0 * tp * rate
+    offsets = plan_offsets(plan, len(waveforms))
+    rate = _integrand_rate(waveforms, offsets)
+    needed = _panels_for(tp, rate)
     if n_quadrature is None:
-        n_quadrature = _samples_for(tp, rate)
-    if n_quadrature < required:
+        n_quadrature = PANEL_ORDER * needed
+    panels, rest = divmod(n_quadrature, PANEL_ORDER)
+    if rest or panels < 1:
+        raise ValueError(f"n_quadrature must be a positive multiple of {PANEL_ORDER}, "
+                         f"got {n_quadrature}")
+    if panels < needed:
         raise SamplingError(
-            f"{n_quadrature} quadrature samples undersample an integrand with "
-            f"{rate:.3g} Hz of content over {tp:.3g} s (need >= {required:.0f})"
-        )
+            f"{n_quadrature} quadrature nodes leave {tp * rate / panels:.3g} integrand cycles "
+            f"per panel, over the cap of {PANEL_CYCLES} (need >= {PANEL_ORDER * needed})")
 
-    t = np.linspace(0.0, tp, n_quadrature)
-    signals = np.stack([wf.sample(t) for wf in waveforms])  # (M, N_q)
-    signals = signals * np.exp(2j * np.pi * np.outer(offsets, t))
-    weights = np.full(n_quadrature, t[1] - t[0])
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
+    nodes, node_weights = _panel_rule()
+    width = tp / panels
+    t = ((np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) * width).ravel()
+    weights = np.tile(0.5 * width * node_weights, panels)
+    # the offsets ride in each waveform's frequency: one exponential per (m, node)
+    signals = np.stack([with_freq_offset(wf, off).sample(t)
+                        for wf, off in zip(waveforms, offsets)])  # (M, N_q)
     gram = (signals * weights) @ signals.conj().T
     gram = 0.5 * (gram + gram.conj().T)  # remove roundoff asymmetry
     return CovarianceMatrix(entries=gram, n_quadrature=n_quadrature)
@@ -143,7 +160,7 @@ def _steered_power(r: CovarianceMatrix, w: np.ndarray,
                    steer: np.ndarray) -> np.ndarray:
     "Re(v^H R v) for each row v = w * conj(a) of the (N, M) steering matrix."
     v = as_weight_array(w, r.num_elements)[None, :] * steer.conj()
-    return np.real(np.einsum("nm,mk,nk->n", v.conj(), r.entries, v))
+    return np.real(np.einsum("nk,nk->n", v.conj() @ r.entries, v))
 
 
 def fgtb(r: CovarianceMatrix, config: ArrayConfig, plan: FrequencyPlan,

@@ -274,7 +274,7 @@ def test_criterion_08_fgtb_regimes():
     offsets = fb.plan_offsets(plan_b, M)
     for th in np.radians([-70.0, -25.0, 0.0, 40.0, 65.0]):
         got = fb.fgtb(r_orth, cfg, plan_b, w, th)[0]
-        want = fgtb_direct_oracle(cfg, offsets, bank, w, th, n_q)
+        want = fgtb_direct_oracle(cfg, offsets, bank, w, th)
         assert got == pytest.approx(want, rel=1e-6)
     report(8, f"ripple {ripple_db:.2f} dB < 1, coherent gain {ratio_db:.2f} dB "
               f"vs {10 * np.log10(M):.2f} +- 0.5, oracle match at 5 angles")
