@@ -41,12 +41,12 @@ MUTANTS = (
      "PANEL_CYCLES = 9.5", "PANEL_CYCLES = 13.0"),
     ("panel-order-24", "beampattern_integral.py",
      "PANEL_ORDER = 32", "PANEL_ORDER = 24"),
-    ("rate-without-sweep-spread", "beampattern_integral.py",
-     "return float(max(np.ptp(start), np.ptp(end), declared))", "return float(declared)"),
+    ("rate-start-spread-only", "beampattern_integral.py",
+     "max(np.ptp(start), np.ptp(end))", "np.ptp(start)"),
     ("offsets-not-folded", "beampattern_integral.py",
      "with_freq_offset(wf, off).sample(t)", "wf.sample(t)"),
     ("mimo-compare-fda-side-unsteered", "beampattern_integral.py",
-     "combined_angle_steering(config, p, theta))",
+     "combined_angle_steering(config, plan, theta))",
      "combined_angle_steering(config, UniformPlan(0.0), theta))"),
     ("peak-refinement-off", "scan_analytics.py",
      "fit = (denom != 0.0) & (x0 <= s_peak) & (s_peak <= x2)",
@@ -98,8 +98,12 @@ MUTANTS = (
      'if key != "kind" and key not in _WAVEFORM_KEYS[kind]:', "if False:"),
     ("blas-scope-keeps-previous-count", "cli.py",
      "    set_(1)\n", "    set_(previous)\n"),
-    ("skip-negative-bandwidth-check", "waveform.py",
-     "        if self.bandwidth < 0:", "        if False:"),
+    ("skip-empty-formats-check", "cli.py",
+     "        if not fmts:", "        if False:"),
+    ("chirp-rate-overflow-uncaught", "cli.py",
+     '        raise ScenarioValidationError(f"waveforms: {exc}") from exc', "        raise"),
+    ("non-utf-8-uncaught", "cli.py",
+     "    except UnicodeDecodeError as exc:", "    except LookupError as exc:"),
 )
 
 

@@ -5,10 +5,10 @@ one pulse.  It reduces to a quadratic form in the transmitted-waveform
 covariance matrix, which this module assembles by composite Gauss-Legendre
 quadrature (Golub & Welsch, Math. Comp. 1969) on panels of at most PANEL_CYCLES
 integrand cycles, with the offsets of a frequency plan folded into each
-waveform's frequency.  The co-located MIMO pattern is the same construction at
-zero offsets: its covariance is the UniformPlan(0.0) covariance of basebands
-that carry the offsets themselves (Stoica, Li & Xie, IEEE TSP 2007, for the
-covariance view a^H R a).
+waveform's frequency.  That folded covariance is also the co-located MIMO
+covariance of the offset-shifted basebands (Stoica, Li & Xie, IEEE TSP 2007,
+for the covariance view a^H R a), so the integral and MIMO patterns are one
+covariance under two steerings: the full angle steering and the carrier term.
 """
 
 from __future__ import annotations
@@ -83,14 +83,13 @@ def _integrand_rate(waveforms: Sequence[BasebandWaveform], offsets: np.ndarray) 
 
     Entry (m, n) sweeps at f_m(t) - f_n(t), where f_m(t) = chirp_rate_m*t + freq_offset_m
     + df_m is linear in t, so no entry sweeps faster than the spread of the f_m at t = 0
-    or at T_p.  Chirps of opposite sweep reach the sum of their bandwidths there.  The
-    declared bandwidths set a floor: the widest baseband plus the extent of the offsets.
+    or at T_p.  Chirps of opposite sweep reach the sum of their swept widths there, and a
+    bank of equal rates holds no chirp in any entry.
     """
     tp = waveforms[0].pulse_duration
     start = np.array([wf.freq_offset for wf in waveforms]) + offsets
     end = start + tp * np.array([wf.chirp_rate for wf in waveforms])
-    declared = max(wf.bandwidth + abs(wf.freq_offset) for wf in waveforms) + np.ptp(offsets)
-    return float(max(np.ptp(start), np.ptp(end), declared))
+    return float(max(np.ptp(start), np.ptp(end)))
 
 
 @functools.cache
@@ -212,30 +211,22 @@ class EquivalenceComparison:
 
 def compare_fgtb_mimo(config: ArrayConfig, plan: UniformPlan,
                       waveforms: Sequence[BasebandWaveform],
-                      w: np.ndarray, theta,
-                      n_quadrature: int | None = None) -> EquivalenceComparison:
+                      w: np.ndarray, theta) -> EquivalenceComparison:
     """Deviation between the integral beampattern and its MIMO construction.
 
-    The MIMO side folds each element's offset into its baseband
-    (s_m(t) * exp(j*2*pi*m*delta_f*t)) and steers with the carrier term only;
-    the offset-array side keeps the bare basebands and carries the offset in
-    the covariance and steering.  Both curves are peak-normalized before
-    differencing, which cancels the 1/T_p convention mismatch; at delta_f = 0
-    the two constructions coincide and the deviation is exactly zero.
+    One covariance serves both sides: the offset covariance of the bare basebands
+    is the MIMO covariance of basebands that carry the offsets
+    (s_m(t) * exp(j*2*pi*m*delta_f*t)).  The integral side steers it with the full
+    angle steering, the MIMO side with the carrier term only.  Both curves are
+    peak-normalized before differencing, which cancels the 1/T_p convention
+    mismatch; at delta_f = 0 the two steerings coincide and the deviation is
+    exactly zero.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    offsets = plan_offsets(plan, config.num_elements)
-    mimo_wfs = [with_freq_offset(wf, off) for wf, off in zip(waveforms, offsets)]
-
-    if n_quadrature is None:
-        n_quadrature = default_quadrature_samples(config, list(waveforms), plan)
-
-    # MIMO is the zero-offset case of the same quadratic form; leaving out fgtb()'s
-    # 1/T_p before normalizing keeps the 0 Hz deviation exactly zero
-    raw_fgtb, raw_mimo = (
-        _steered_power(covariance(wfs, p, n_quadrature), w,
-                       combined_angle_steering(config, p, theta))
-        for wfs, p in ((waveforms, plan), (mimo_wfs, UniformPlan(0.0))))
+    r = covariance(waveforms, plan)
+    # leaving out fgtb()'s 1/T_p before normalizing keeps the 0 Hz deviation exactly zero
+    raw_fgtb = _steered_power(r, w, combined_angle_steering(config, plan, theta))
+    raw_mimo = mimo_beampattern(r, config, w, theta)
     fgtb_norm = raw_fgtb / raw_fgtb.max()
     mimo_norm = raw_mimo / raw_mimo.max()
     return EquivalenceComparison(

@@ -303,8 +303,8 @@ def _parse_weights(sec: configparser.SectionProxy, config: ArrayConfig,
     raise ScenarioParseError(f"weights: unknown type {kind!r}")
 
 
-# the keys each waveform kind reads besides "kind"; a chirp's bandwidth is its swept width
-_WAVEFORM_KEYS = {"rect": ("bandwidth",), "chirp-bank": ("base_rate", "rate_step")}
+# the keys each waveform kind reads besides "kind"
+_WAVEFORM_KEYS = {"rect": (), "chirp-bank": ("base_rate", "rate_step")}
 
 
 def _parse_waveforms(sec: configparser.SectionProxy, config: ArrayConfig) -> list:
@@ -315,17 +315,15 @@ def _parse_waveforms(sec: configparser.SectionProxy, config: ArrayConfig) -> lis
         if key != "kind" and key not in _WAVEFORM_KEYS[kind]:
             raise ScenarioValidationError(f"waveforms: kind = {kind} does not read {key!r}")
     if kind == "rect":
-        bw = sec.get("bandwidth")
-        bandwidth = parse_quantity(bw, "waveforms.bandwidth") if bw else None
-        try:
-            return [rect_pulse(config.pulse_duration, bandwidth)] * config.num_elements
-        except ValueError as exc:
-            raise ScenarioValidationError(f"waveforms: {exc}") from exc
-    return make_chirp_bank(
-        config,
-        base_rate_num=_get(sec, "base_rate", 100.0, "float"),
-        rate_step=_get(sec, "rate_step", 10.0, "float"),
-    )
+        return [rect_pulse(config.pulse_duration)] * config.num_elements
+    try:  # finite rate numbers can still overflow once divided by T_p^2
+        return make_chirp_bank(
+            config,
+            base_rate_num=_get(sec, "base_rate", 100.0, "float"),
+            rate_step=_get(sec, "rate_step", 10.0, "float"),
+        )
+    except ValueError as exc:
+        raise ScenarioValidationError(f"waveforms: {exc}") from exc
 
 
 def _write_grid(grid, out: Path, stem: str, formats) -> list[Path]:
@@ -586,7 +584,7 @@ _SETUP_SECTIONS: dict[str, tuple[str, ...]] = {
     "array": ("elements", "carrier", "pulse", "spacing", "wave_speed"),
     "plan": ("type", "offset", "offsets", "coding", "seed", "form", "rate", "time_scale"),
     "weights": ("type", "angle", "seed"),
-    "waveforms": ("kind", "bandwidth", "base_rate", "rate_step"),
+    "waveforms": ("kind", "base_rate", "rate_step"),
     "outputs": ("directory", "formats"),
 }
 
@@ -658,6 +656,8 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
         sec = parser["outputs"]
         out_dir = sec.get("directory", out_dir)
         fmts = tuple(v.lower() for v in _parse_list(sec.get("formats", "csv")))
+        if not fmts:
+            raise ScenarioParseError("outputs: formats lists no format (csv, binary)")
         for fmt in fmts:
             if fmt not in ("csv", "binary"):
                 raise ScenarioParseError(f"outputs: unknown format {fmt!r}")
@@ -766,6 +766,9 @@ def _load_checked(source: str, read: Callable[[], str],
     except OSError as exc:
         print(f"error: cannot read {source}: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except UnicodeDecodeError as exc:
+        print(f"parse error in {source}: not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except ScenarioParseError as exc:
         print(f"parse error in {source}: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -826,7 +829,7 @@ def main(argv: list[str] | None = None) -> int:
         return _execute_checked(sc, args.out or os.path.join("out", args.name), label=source)
 
     path = Path(args.file)
-    sc = _load_checked(str(path), path.read_text, base_dir=path.parent)
+    sc = _load_checked(str(path), lambda: path.read_text(encoding="utf-8"), base_dir=path.parent)
     if isinstance(sc, int):
         return sc
     if args.command == "validate":

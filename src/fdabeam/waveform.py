@@ -2,13 +2,15 @@
 
 Waveforms are unit-energy complex envelopes supported on [0, T_p].  The only
 kinds needed here are the rectangular pulse and the rectangular-envelope linear
-chirp, optionally with a constant baseband frequency shift (used to fold a
-uniform FO into a MIMO-style waveform).
+chirp, optionally with a constant baseband frequency shift.  Shifting element
+m's baseband by its offset df_m turns the offset array's covariance into the
+co-located MIMO covariance of the shifted basebands, which is how the
+covariance quadrature carries a frequency plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,23 +27,18 @@ class BasebandWaveform:
     s(t) = exp(j*pi*chirp_rate*t^2) * exp(j*2*pi*freq_offset*t) / sqrt(T_p)
     for 0 <= t <= T_p and 0 elsewhere.  chirp_rate is in Hz/s; a plain
     rectangular pulse has chirp_rate == freq_offset == 0.  T_p must be positive
-    and finite, the rate and offset finite.  `bandwidth` is the declared
-    baseband bandwidth (non-negative, finite) used for narrowband and sampling
-    checks, not a computed spectral width.
+    and finite, the rate and offset finite.
     """
 
     pulse_duration: float
     chirp_rate: float = 0.0
     freq_offset: float = 0.0
-    bandwidth: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.pulse_duration < np.inf:
             raise ValueError(
                 f"pulse_duration must be positive and finite, got {self.pulse_duration}")
-        if self.bandwidth < 0:
-            raise ValueError(f"bandwidth must be non-negative, got {self.bandwidth:g} Hz")
-        for name in ("chirp_rate", "freq_offset", "bandwidth"):
+        for name in ("chirp_rate", "freq_offset"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
@@ -59,36 +56,26 @@ class BasebandWaveform:
         return out
 
 
-def rect_pulse(pulse_duration: float, bandwidth: float | None = None) -> BasebandWaveform:
-    "Unit-energy rectangular pulse; declared bandwidth defaults to 1/T_p."
-    b = 1.0 / pulse_duration if bandwidth is None else bandwidth
-    return BasebandWaveform(pulse_duration=pulse_duration, bandwidth=b)
+def rect_pulse(pulse_duration: float) -> BasebandWaveform:
+    "Unit-energy rectangular pulse."
+    return BasebandWaveform(pulse_duration=pulse_duration)
 
 
 def make_chirp_bank(config: ArrayConfig, base_rate_num: float = 100.0,
                     rate_step: float = 10.0) -> list[BasebandWaveform]:
     """One chirp per element with rate gamma_m = (base_rate_num + rate_step*m) / T_p^2.
 
-    Element m sweeps roughly |base_rate_num + rate_step*m|/T_p of bandwidth over
-    the pulse, upward or downward; that swept width is recorded as the declared
-    bandwidth.
+    Element m sweeps |base_rate_num + rate_step*m|/T_p over the pulse, upward or
+    downward.
     """
     tp = config.pulse_duration
-    bank = []
-    for m in range(config.num_elements):
-        rate = (base_rate_num + rate_step * m) / tp**2
-        bank.append(BasebandWaveform(pulse_duration=tp, chirp_rate=rate, bandwidth=abs(rate) * tp))
-    return bank
+    return [BasebandWaveform(pulse_duration=tp, chirp_rate=(base_rate_num + rate_step * m) / tp**2)
+            for m in range(config.num_elements)]
 
 
 def with_freq_offset(w: BasebandWaveform, freq_offset: float) -> BasebandWaveform:
     "Copy of w with an added constant baseband frequency shift."
-    return BasebandWaveform(
-        pulse_duration=w.pulse_duration,
-        chirp_rate=w.chirp_rate,
-        freq_offset=w.freq_offset + freq_offset,
-        bandwidth=w.bandwidth,
-    )
+    return replace(w, freq_offset=w.freq_offset + freq_offset)
 
 
 @dataclass(frozen=True)

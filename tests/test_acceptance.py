@@ -348,7 +348,7 @@ def test_criterion_12_fgtb_mimo_equivalence_condition():
     m = 40
     cfg = make_config(0.0, num_elements=m, pulse=50e-9)
     rect = fb.rect_pulse(cfg.pulse_duration)
-    _, upper = fb.equivalence_fo_bounds(cfg, rect.bandwidth)
+    _, upper = fb.equivalence_fo_bounds(cfg, 1.0 / cfg.pulse_duration)
     edge_phase_at_bound = 2 * np.pi * upper * (m - 1) ** 2 * cfg.spacing / cfg.wave_speed
     assert edge_phase_at_bound == pytest.approx(np.pi / 4, rel=0.05)
 

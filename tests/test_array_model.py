@@ -22,9 +22,8 @@ class TestArrayConfig:
         lambda bad: fb.BasebandWaveform(pulse_duration=bad),
         lambda bad: fb.BasebandWaveform(pulse_duration=5e-6, chirp_rate=bad),
         lambda bad: fb.BasebandWaveform(pulse_duration=5e-6, freq_offset=bad),
-        lambda bad: fb.BasebandWaveform(pulse_duration=5e-6, bandwidth=bad),
         lambda bad: fb.TimeModulatedPlan(form="arctan", rate=bad),
-    ], ids=["pulse_duration", "chirp_rate", "freq_offset", "bandwidth", "time_modulated_rate"])
+    ], ids=["pulse_duration", "chirp_rate", "freq_offset", "time_modulated_rate"])
     def test_waveform_and_plan_reject_non_finite(self, make):
         # the same rule as above for library callers, who bypass the CLI's parse-time check
         for bad in (np.inf, -np.inf, np.nan):

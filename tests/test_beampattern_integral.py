@@ -87,13 +87,14 @@ class TestCovariance:
             fb.covariance(bank, fb.UniformPlan(10e6), 64)
 
     def test_down_chirp_bank_samples_like_its_mirror(self):
-        # a down-chirp sweeps as wide as its mirror up-chirp, so its integrand is as fast:
-        # (400 MHz declared + 15 MHz of offsets) * 5 us = 2075 cycles, 219 panels of 9.5
+        # the conjugate of a down-chirp bank on offsets -df is the up-chirp bank on +df, so
+        # its integrand is as fast: at T_p element m sits at -/+(400 + 3m) MHz, a 45 MHz
+        # spread (15 MHz at t = 0), and 45 MHz * 5 us = 225 cycles fill 24 panels of 9.5
         cfg = make_config(0.0)
-        plan = fb.UniformPlan(1e6)
-        down, up = (default_quadrature_samples(cfg, fb.make_chirp_bank(cfg, rate, 0.0), plan)
-                    for rate in (-2000.0, 2000.0))
-        assert down == up == 219 * 32
+        down, up = (default_quadrature_samples(
+            cfg, fb.make_chirp_bank(cfg, s * 2000.0, s * 10.0), fb.UniformPlan(s * 1e6))
+            for s in (-1.0, 1.0))
+        assert down == up == 24 * 32
 
     def test_one_panel_short_rejected(self, cfg):
         bank = fb.make_chirp_bank(cfg)
@@ -331,3 +332,31 @@ class TestCompareFgtbMimo:
         assert cmp.fgtb_normalized.max() == 1.0
         assert cmp.mimo_normalized.max() == 1.0
         assert cmp.fgtb_peak > 0 and cmp.mimo_peak > 0
+
+    @pytest.mark.parametrize("num_elements, kind, delta_f", [
+        (16, "rect", 3e6),
+        (16, "chirp", 0.0),
+        (16, "chirp", 1e6),
+        (16, "chirp", 10e6),
+        (16, "down", 1e6),
+        (40, "opposite", 1e6),
+        (16, "chirp", -1e6),
+    ], ids=["rect-3MHz", "chirp-0Hz", "chirp-1MHz", "chirp-10MHz", "down-1MHz",
+            "opposite-1MHz", "chirp-negative-1MHz"])
+    def test_mimo_side_is_the_folded_baseband_construction(self, num_elements, kind, delta_f):
+        # the independent MIMO construction: shift each baseband by its element's offset and
+        # take the zero-offset covariance; compare_fgtb_mimo reuses the offset covariance
+        cfg = make_config(0.0, num_elements=num_elements)
+        bank = _bank(kind, cfg)
+        plan = fb.UniformPlan(delta_f)
+        n_q = default_quadrature_samples(cfg, bank, plan)
+        folded = fb.covariance([fb.with_freq_offset(wf, off)
+                                for wf, off in zip(bank, fb.plan_offsets(plan, num_elements))],
+                               fb.UniformPlan(0.0), n_q)
+        assert np.array_equal(folded.entries, fb.covariance(bank, plan, n_q).entries)
+
+        w = fb.random_unimodular_weights(num_elements, seed=3)
+        theta = fb.theta_grid(181)
+        mimo = fb.mimo_beampattern(folded, cfg, w, theta)
+        cmp = fb.compare_fgtb_mimo(cfg, plan, bank, w, theta)
+        assert np.array_equal(cmp.mimo_normalized, mimo / mimo.max())

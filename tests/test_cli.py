@@ -256,13 +256,17 @@ class TestMainVerbs:
         ("name = small", "name = small\nseeds = 1"),
         ("[scan_report]", "[waveforms]\nkind = rect\nbandwith = 1 MHz\n\n[scan_report]"),
         ("spacing = half-wavelength", "spacing = lambda0/2"),
+        ("[scan_report]", "[waveforms]\nkind = rect\nbandwidth = 1 MHz\n\n[scan_report]"),
+        ("name = small", "name = sm\udcffall"),  # a lone 0xff byte
+        ("[scan_report]", "[outputs]\nformats = ,\n\n[scan_report]"),
     ], ids=["getint", "getboolean", "getint-float", "getfloat", "quantity", "unknown-key",
             "unknown-section", "infinite-quantity", "overflowing-quantity", "nan-quantity",
             "infinite-getfloat", "unknown-plan-key", "unknown-array-key",
-            "unknown-scenario-key", "unknown-waveforms-key", "spacing-alias"])
+            "unknown-scenario-key", "unknown-waveforms-key", "spacing-alias",
+            "removed-bandwidth-key", "non-utf-8", "empty-formats"])
     def test_unparseable_value_exit_2(self, tmp_path, capsys, verb, old, new):
         path = tmp_path / "s.ini"
-        path.write_text(SMALL_SCENARIO.replace(old, new))
+        path.write_bytes(SMALL_SCENARIO.replace(old, new).encode("utf-8", "surrogateescape"))
         assert cli.main([verb, str(path)]) == cli.EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("parse error") and len(err.strip().splitlines()) == 1
@@ -375,14 +379,13 @@ class TestMainVerbs:
         # r/c is 3.3e11 s, where float64 steps by 6.1e-5 s: four instants of a 5 us pulse collapse
         ("[legacy_grid]\nranges = 18 km, 1e17 km\ntime_samples = 4\n",
          "legacy_grid.ranges: at '1e17 km', r/c + t takes fewer than 4 distinct float64 values"),
-        ("[waveforms]\nkind = chirp-bank\nbandwidth = 10 MHz\n[fitb_grid]\n",
-         "waveforms: kind = chirp-bank does not read 'bandwidth'"),
         ("[waveforms]\nbase_rate = 100\n[fitb_grid]\n",
          "waveforms: kind = rect does not read 'base_rate'"),
         ("[waveforms]\nkind = rect\nrate_step = 5\n[fitb_grid]\n",
          "waveforms: kind = rect does not read 'rate_step'"),
-        ("[waveforms]\nkind = rect\nbandwidth = -4 GHz\n[fgtb_curve]\noffsets = 123.4567 MHz\n",
-         "waveforms: bandwidth must be non-negative, got -4e+09 Hz"),
+        # 1e300 / (5 us)^2 overflows to an infinite chirp rate
+        ("[waveforms]\nkind = chirp-bank\nbase_rate = 1e300\n[fitb_grid]\n",
+         "waveforms: chirp_rate must be finite, got inf"),
     ], ids=["tabulated-scan-report", "coded-zero-time-cut", "time-modulated-legacy-grid",
             "tabulated-schedule", "segment-beyond-pulse", "negative-weight-seed",
             "coded-closed-form", "steered-closed-form", "chirp-bank-closed-form",
@@ -398,8 +401,8 @@ class TestMainVerbs:
             "legacy-zero-range", "zero-time-cut-negative-spacing", "time-modulated-phase-overflow",
             "time-modulated-phase-beyond-2-52", "time-modulated-table-form",
             "time-modulated-negative-frequency", "time-modulated-arctan-negative-frequency",
-            "legacy-range-beyond-axis", "chirp-bank-bandwidth", "rect-base-rate", "rect-rate-step",
-            "rect-negative-bandwidth"])
+            "legacy-range-beyond-axis", "rect-base-rate", "rect-rate-step",
+            "chirp-rate-overflow"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, verb, body, expected):
         # a body without its own [array] section runs on an 8-element array
         path = tmp_path / "s.ini"
@@ -498,7 +501,7 @@ _SETUP_KEYS = {
     "array": ("carrier", "pulse", "spacing", "wave_speed"),
     "plan": ("type", "offset", "offsets", "coding", "seed", "form", "rate", "time_scale"),
     "weights": ("type", "angle", "seed"),
-    "waveforms": ("kind", "bandwidth", "base_rate", "rate_step"),
+    "waveforms": ("kind", "base_rate", "rate_step"),
 }
 _TOKENS = ("10 GHz", "5 us", "0", "0 Hz", "-2.5 GHz", "100 kHz", "1e400 us", "1e308 GHz", "inf",
            "nan", "-1", "half-wavelength", "wavelength", "1.5 cm", "uniform", "coded",
@@ -583,7 +586,7 @@ _PLANS = ("type = uniform\noffset = 100 kHz", "type = uniform\noffset = 0 Hz",
           "type = time-modulated\nform = arctan\nrate = 50 kHz",
           "type = time-modulated\nform = sinh\nrate = 50 kHz\ntime_scale = 1 ns")
 _WEIGHTS = ("type = uniform", "type = random\nseed = 3", "type = steered\nangle = 30 deg")
-_WAVEFORMS = ("kind = rect", "kind = chirp-bank", "kind = chirp-bank\nbandwidth = 10 MHz",
+_WAVEFORMS = ("kind = rect", "kind = chirp-bank", "kind = chirp-bank\nrate_step = -10",
               "kind = rect\nrate_step = 5")
 
 

@@ -56,7 +56,6 @@ class TestChirpBank:
         tp = cfg.pulse_duration
         for m, wf in enumerate(bank):
             assert wf.chirp_rate == pytest.approx((100 + 10 * m) / tp**2)
-            assert wf.bandwidth == pytest.approx((100 + 10 * m) / tp)
 
     def test_single_element(self):
         cfg = fb.ArrayConfig(num_elements=1, carrier_freq=1e10, spacing=0.015,
