@@ -104,6 +104,8 @@ MUTANTS = (
      '        raise ScenarioValidationError(f"waveforms: {exc}") from exc', "        raise"),
     ("non-utf-8-uncaught", "cli.py",
      "    except UnicodeDecodeError as exc:", "    except LookupError as exc:"),
+    ("parent-ignores-child-exit-status", "cli.py",
+     "    if status != 0:", "    if False:"),
 )
 
 

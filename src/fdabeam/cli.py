@@ -5,7 +5,8 @@ accepted at the boundary, converted once at parse time), dispatches to the
 beampattern engines, and writes plot-ready CSV/binary artifacts plus a
 manifest of content hashes.
 
-Exit codes: 0 success, 2 parse error, 3 validation error, 4 numerical error.
+Exit codes: 0 success, 2 parse error, 3 validation error (also an artifact that cannot be
+written), 4 numerical error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -42,6 +45,7 @@ from .array_model import (
     uniform_weights,
 )
 from .beampattern_instant import (
+    BeampatternGrid,
     grid_to_binary,
     grid_to_csv,
     legacy_grid,
@@ -326,13 +330,53 @@ def _parse_waveforms(sec: configparser.SectionProxy, config: ArrayConfig) -> lis
         raise ScenarioValidationError(f"waveforms: {exc}") from exc
 
 
-def _write_grid(grid, out: Path, stem: str, formats) -> list[Path]:
-    written = []
-    if "csv" in formats:
-        written.append(grid_to_csv(grid, out / f"{stem}.csv"))
-    if "binary" in formats:
-        written.append(grid_to_binary(grid, out / f"{stem}.bin"))
-    return written
+def _write_grids(grids: list[tuple[BeampatternGrid, str]], out: Path, formats) -> list[Path]:
+    """Write each (grid, stem) of one section in every requested format; returns the paths.
+
+    %.10g formatting holds the GIL, so where two or more CSV grids are due and
+    the platform can fork, a child process writes the CSVs of about half the
+    cells while this process writes the others and every binary. Both run the
+    same writers, so the bytes do not depend on the split. The child calls no
+    BLAS and always leaves through os._exit; this process reaps it before
+    returning or raising, and a child that failed fails the section.
+    """
+    csv = [(grid, out / f"{stem}.csv") for grid, stem in grids if "csv" in formats]
+    binary = [(grid, out / f"{stem}.bin") for grid, stem in grids if "binary" in formats]
+    shares, pid = ([], csv), None  # the CSV writes of the child and of this process
+    if len(csv) > 1 and hasattr(os, "fork"):
+        shares, cells = ([], []), [0, 0]
+        for job in sorted(csv, key=lambda job: job[0].values.size, reverse=True):
+            side = int(cells[1] < cells[0])
+            shares[side].append(job)
+            cells[side] += job[0].values.size
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on fork when threads exist; OpenBLAS's idle pool
+            # threads are such, and the child never enters BLAS
+            warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
+                                    DeprecationWarning)
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: write them all here
+                shares = ([], csv)
+        if pid == 0:
+            status = 1
+            try:
+                for grid, path in shares[0]:
+                    grid_to_csv(grid, path)
+                status = 0
+            finally:
+                os._exit(status)
+    try:
+        for grid, path in shares[1]:
+            grid_to_csv(grid, path)
+        for grid, path in binary:
+            grid_to_binary(grid, path)
+    finally:
+        status = 0 if pid is None else os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        names = ", ".join(path.name for _, path in shares[0])
+        raise OSError(f"the forked writer of {names} ended with exit code {status}")
+    return [path for _, path in csv + binary]
 
 
 def _unique_tags(where: str, texts: list[str], tags: list[str], stem: str) -> list[str]:
@@ -377,8 +421,8 @@ def _run_fitb_grid(sc: Scenario, params: dict, out: Path) -> list[Path]:
     grid = sweep_grid(sc.config, sc.plan, sc.weights, sc.waveforms,
                       n_time=params["n_time"], n_theta=params["n_theta"],
                       engine=params["engine"])
-    written = _write_grid(grid.to_db(), out, "fitb_grid_db", sc.formats)
-    written += _write_grid(grid, out, "fitb_grid", sc.formats)
+    written = _write_grids([(grid.to_db(), "fitb_grid_db"), (grid, "fitb_grid")], out,
+                           sc.formats)
     if params["trajectory"]:
         written.append(trajectory_to_csv(measure_peak_trajectory(grid), out / "trajectory.csv"))
     return written
@@ -441,16 +485,18 @@ def _parse_legacy_grid(sec: configparser.SectionProxy, sc: Scenario) -> dict:
 
 
 def _run_legacy_grid(sc: Scenario, params: dict, out: Path) -> list[Path]:
-    written = []
     t_axis = params["t_axis"]
-    # the retarded-time grid does not depend on range: one grid, written per range
+    first, *others = params["tags"]
+    # the retarded-time grid does not depend on range: written once, copied for each other range
     fitb = sweep_grid(sc.config, sc.plan, sc.weights, sc.waveforms,
                       n_time=t_axis.size, n_theta=params["n_theta"])
+    grids = [(fitb, f"fitb_r{first}")]
     for r, tag in zip(params["ranges"], params["tags"]):
-        written += _write_grid(fitb, out, f"fitb_r{tag}", sc.formats)
-        legacy = legacy_grid(sc.config, sc.plan.delta_f, r, t_axis, params["n_theta"])
-        written += _write_grid(legacy, out, f"legacy_r{tag}", sc.formats)
-    return written
+        grids.append((legacy_grid(sc.config, sc.plan.delta_f, r, t_axis, params["n_theta"]),
+                      f"legacy_r{tag}"))
+    written = _write_grids(grids, out, sc.formats)
+    return written + [shutil.copyfile(path, out / f"fitb_r{tag}{path.suffix}")
+                      for path in written if path.stem == f"fitb_r{first}" for tag in others]
 
 
 def _parse_offsets(sec: configparser.SectionProxy, sc: Scenario) -> dict:
@@ -545,7 +591,7 @@ def _run_schedule(sc: Scenario, params: dict, out: Path) -> list[Path]:
     schedule = params["schedule"]
     grid = schedule_playback_grid(sc.config, sc.plan.delta_f, schedule,
                                   sc.waveforms, sc.weights, params["n_theta"])
-    written = _write_grid(grid, out, "schedule_grid", sc.formats)
+    written = _write_grids([(grid, "schedule_grid")], out, sc.formats)
     written.append(trajectory_to_csv(measure_peak_trajectory(grid),
                                      out / "schedule_trajectory.csv"))
     written.append(write_csv(out / "schedule_phase.csv", "t_us,phi_cycles,target_theta_deg",
@@ -786,6 +832,9 @@ def _execute_checked(sc: Scenario, out_dir: str | None, label: str) -> int:
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical error running {label}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"error writing the artifacts of {label}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     print(f"{sc.name}: artifacts written to {out}")
     return 0
 

@@ -1,9 +1,11 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -17,7 +19,8 @@ from hypothesis import strategies as st
 
 import fdabeam as fb
 from fdabeam import cli
-from fdabeam.beampattern_instant import grid_from_binary, grid_from_csv
+from fdabeam.beampattern_instant import (grid_from_binary, grid_from_csv, grid_to_binary,
+                                         grid_to_csv)
 from fdabeam.presets import PRESETS
 
 from conftest import field_oracle
@@ -175,6 +178,73 @@ class TestExecution:
                                            sc.waveforms, t, th))
                           for th in grid.theta_axis] for i, t in enumerate(grid.t_axis)])
         assert np.abs(grid.values - want).max() <= 1e-8 * want.max()
+
+    @pytest.mark.parametrize("fork", ["forked", "no-fork", "fork-fails"])
+    def test_section_grids_match_direct_writes(self, tmp_path, monkeypatch, fork):
+        # a section's grids may be written by two processes: the bytes must not show it
+        forks = []
+
+        def counted_fork(_fork=getattr(os, "fork", None)):
+            forks.append(fork)
+            if fork == "fork-fails":
+                raise BlockingIOError(errno.EAGAIN, "no process to spare")
+            return _fork()
+
+        if fork == "no-fork":
+            monkeypatch.delattr(os, "fork", raising=False)
+        elif hasattr(os, "fork"):
+            monkeypatch.setattr(os, "fork", counted_fork)
+        text = SMALL_SCENARIO + ("\n[legacy_grid]\nranges = 18 km, 27 km\ntime_samples = 8\n"
+                                 "angle_samples = 32\n\n[outputs]\nformats = csv, binary\n")
+        sc = cli.load_scenario(text)
+        out = cli.execute_scenario(sc, tmp_path / "out")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        grid = fb.sweep_grid(sc.config, sc.plan, sc.weights, sc.waveforms, 16, 64)
+        t_axis = dict(sc.evaluations)["legacy_grid"]["t_axis"]
+        retarded = fb.sweep_grid(sc.config, sc.plan, sc.weights, sc.waveforms, t_axis.size, 32)
+        want = {"fitb_grid": grid, "fitb_grid_db": grid.to_db()}
+        for r, tag in ((18e3, "18km"), (27e3, "27km")):
+            want[f"fitb_r{tag}"] = retarded
+            want[f"legacy_r{tag}"] = fb.legacy_grid(sc.config, 200e3, r, t_axis, 32)
+        direct = tmp_path / "direct"
+        direct.mkdir()
+        for stem, g in want.items():
+            for written in (grid_to_csv(g, direct / f"{stem}.csv"),
+                            grid_to_binary(g, direct / f"{stem}.bin")):
+                assert (out / written.name).read_bytes() == written.read_bytes(), written.name
+        assert len(forks) == (0 if fork == "no-fork" or not hasattr(os, "fork") else 2)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="without fork every grid is written here")
+    def test_failing_child_writer_fails_the_run(self, tmp_path, capsys, monkeypatch):
+        # the forked writer takes the dB grid and inherits the patch through fork; it fails
+        # after a partial write, so only its exit status tells the parent
+        def failing(grid, path, _write=cli.grid_to_csv):
+            if Path(path).name.endswith("_db.csv"):
+                Path(path).write_text("t_us,")
+                raise RuntimeError("formatter failed")
+            return _write(grid, path)
+
+        def hung(signum, frame):
+            raise TimeoutError("the run did not end within 60 s")
+
+        monkeypatch.setattr(cli, "grid_to_csv", failing)
+        path = tmp_path / "s.ini"
+        path.write_text(SMALL_SCENARIO)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_VALIDATION
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert "fitb_grid_db.csv" in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_out_env_override(self, tmp_path, monkeypatch):
         # the output directory is --out or [outputs] directory; no environment variable overrides it
