@@ -84,10 +84,10 @@ MUTANTS = (
      "+ config.carrier_freq * config.spacing * np.sin(theta) / config.wave_speed\n"
      "    )\n    return dirichlet_magnitude(ups"),
     ("skip-element-frequency-check", "cli.py",
-     "    elif config.carrier_freq + plan_offsets(plan, config.num_elements).min() <= 0:",
-     "    elif False:"),
+     "    if config.carrier_freq + plan_offsets(plan, config.num_elements).min() <= 0:",
+     "    if False:"),
     ("skip-time-modulated-frequency-check", "cli.py",
-     "        if not lowest > 0:", "        if False:"),
+     "    if not lowest > 0:", "    if False:"),
     ("skip-unique-tags", "cli.py",
      "    first: dict[str, str] = {}\n", "    return tags\n"),
     ("skip-phase-cycle-check", "cli.py",
@@ -95,7 +95,11 @@ MUTANTS = (
     ("skip-legacy-time-axis-check", "cli.py",
      "    if np.any(np.diff(t_axis) <= 0):", "    if False:"),
     ("skip-waveform-key-check", "cli.py",
-     'if key != "kind" and key not in _WAVEFORM_KEYS[kind]:', "if False:"),
+     "if key != selector and key not in reads[kind]:",
+     'if sec.name != "waveforms" and key != selector and key not in reads[kind]:'),
+    ("skip-plan-weights-key-check", "cli.py",
+     "if key != selector and key not in reads[kind]:",
+     'if sec.name == "waveforms" and key != selector and key not in reads[kind]:'),
     ("blas-scope-keeps-previous-count", "cli.py",
      "    set_(1)\n", "    set_(previous)\n"),
     ("skip-empty-formats-check", "cli.py",

@@ -53,7 +53,6 @@ from .scan_analytics import (
 from .beampattern_integral import (
     CovarianceMatrix,
     EquivalenceComparison,
-    SamplingError,
     compare_fgtb_mimo,
     covariance,
     equivalence_fo_bounds,

@@ -51,14 +51,6 @@ class ArrayConfig:
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
-    def narrowband_ratio(self, bandwidth: float) -> float:
-        """Aperture transit time over inverse bandwidth: (M*d*B)/c.
-
-        Must be << 1 for the shared-envelope approximation to hold for a
-        waveform of the given baseband bandwidth.
-        """
-        return self.num_elements * self.spacing * bandwidth / self.wave_speed
-
     @property
     def element_index(self) -> np.ndarray:
         "Element indices m = 0..M-1."

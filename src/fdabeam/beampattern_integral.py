@@ -43,10 +43,6 @@ PANEL_ORDER = 32
 PANEL_CYCLES = 9.5
 
 
-class SamplingError(ValueError):
-    "Raised when a quadrature panel would hold more integrand cycles than PANEL_CYCLES."
-
-
 @dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     "M x M Hermitian waveform covariance and the quadrature node count behind it."
@@ -71,11 +67,6 @@ class CovarianceMatrix:
     @property
     def num_elements(self) -> int:
         return self.entries.shape[0]
-
-    def max_off_diagonal(self) -> float:
-        "Largest off-diagonal magnitude; near 0 for orthogonal waveform sets."
-        off = self.entries - np.diag(np.diag(self.entries))
-        return float(np.abs(off).max()) if self.num_elements > 1 else 0.0
 
 
 def _integrand_rate(waveforms: Sequence[BasebandWaveform], offsets: np.ndarray) -> float:
@@ -111,18 +102,15 @@ def default_quadrature_samples(config: ArrayConfig,
     return PANEL_ORDER * _panels_for(config.pulse_duration, rate)
 
 
-def covariance(waveforms: Sequence[BasebandWaveform],
-               plan: FrequencyPlan,
-               n_quadrature: int | None = None) -> CovarianceMatrix:
+def covariance(waveforms: Sequence[BasebandWaveform], plan: FrequencyPlan) -> CovarianceMatrix:
     """Waveform covariance by composite Gauss-Legendre quadrature over [0, T_p].
 
     Entry (m, n) is the integral of s_m(t) * conj(s_n(t)) * exp(j*2*pi*(df_m - df_n)*t),
     with df_m the plan's offsets for the M waveforms; UniformPlan(0.0) gives the
-    covariance of the bare basebands.  n_quadrature is the node count, a whole number of
-    PANEL_ORDER-node panels of equal width, by default the fewest that keep each panel
-    within PANEL_CYCLES cycles; fewer raise SamplingError.  The matrix is assembled as a
-    Gram matrix with positive weights, so it is Hermitian and positive semidefinite by
-    construction.
+    covariance of the bare basebands.  The rule takes PANEL_ORDER nodes on each of the
+    fewest equal panels that hold at most PANEL_CYCLES integrand cycles, the node count
+    default_quadrature_samples gives.  The matrix is assembled as a Gram matrix with
+    positive weights, so it is Hermitian and positive semidefinite by construction.
     """
     waveforms = list(waveforms)
     tp = waveforms[0].pulse_duration
@@ -130,19 +118,7 @@ def covariance(waveforms: Sequence[BasebandWaveform],
         raise ValueError("all waveforms must share the pulse duration")
 
     offsets = plan_offsets(plan, len(waveforms))
-    rate = _integrand_rate(waveforms, offsets)
-    needed = _panels_for(tp, rate)
-    if n_quadrature is None:
-        n_quadrature = PANEL_ORDER * needed
-    panels, rest = divmod(n_quadrature, PANEL_ORDER)
-    if rest or panels < 1:
-        raise ValueError(f"n_quadrature must be a positive multiple of {PANEL_ORDER}, "
-                         f"got {n_quadrature}")
-    if panels < needed:
-        raise SamplingError(
-            f"{n_quadrature} quadrature nodes leave {tp * rate / panels:.3g} integrand cycles "
-            f"per panel, over the cap of {PANEL_CYCLES} (need >= {PANEL_ORDER * needed})")
-
+    panels = _panels_for(tp, _integrand_rate(waveforms, offsets))
     nodes, node_weights = _panel_rule()
     width = tp / panels
     t = ((np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) * width).ravel()
@@ -152,7 +128,7 @@ def covariance(waveforms: Sequence[BasebandWaveform],
                         for wf, off in zip(waveforms, offsets)])  # (M, N_q)
     gram = (signals * weights) @ signals.conj().T
     gram = 0.5 * (gram + gram.conj().T)  # remove roundoff asymmetry
-    return CovarianceMatrix(entries=gram, n_quadrature=n_quadrature)
+    return CovarianceMatrix(entries=gram, n_quadrature=PANEL_ORDER * panels)
 
 
 def _steered_power(r: CovarianceMatrix, w: np.ndarray,

@@ -152,31 +152,9 @@ def _check_cells(where: str, what: str, cells: int) -> None:
             f"{where}: {what} need {cells} cells, over the budget of {MAX_CELLS}")
 
 
-def _pulse_local_times(config: ArrayConfig) -> np.ndarray:
-    """Element-local times tau at the ends of the pulse's rows, t' = 0 and t' = T_p.
-
-    The outer two, -(M-1)d/c and T_p + (M-1)d/c, bound every tau the engine
-    evaluates; a quantity monotone in |tau| on either side of 0 is largest at one of them.
-    """
-    return np.ravel(local_time_ends(config, (0.0, config.pulse_duration)))
-
-
 def _check_element_frequencies(where: str, config: ArrayConfig, plan: FrequencyPlan) -> None:
-    """Every element frequency must be positive.
-
-    That is f_c + offset_m for a static plan, and f_c + chi_m(tau) within the
-    pulse for a time-modulated one: chi_m = m*rate*g with g monotone, so the
-    last element at the ends of the tau range has the lowest.
-    """
-    if isinstance(plan, TimeModulatedPlan):
-        with np.errstate(all="ignore"):
-            lowest = config.carrier_freq + plan.chi(config.num_elements - 1,
-                                                    _pulse_local_times(config)).min()
-        if not lowest > 0:
-            raise ScenarioValidationError(
-                f"{where}: element frequency f_c + chi_m(tau) reaches {lowest:g} Hz within the "
-                f"pulse; every element frequency must be positive")
-    elif config.carrier_freq + plan_offsets(plan, config.num_elements).min() <= 0:
+    "Every element frequency f_c + offset_m of a static plan must be positive."
+    if config.carrier_freq + plan_offsets(plan, config.num_elements).min() <= 0:
         raise ScenarioValidationError(
             f"{where}: every element frequency f_c + offset_m must be positive")
 
@@ -185,21 +163,30 @@ MAX_PHASE_CYCLES = 2.0 ** 52
 "Phase magnitude in cycles from which float64 holds no fraction of a cycle."
 
 
-def _check_phase_cycles(config: ArrayConfig, plan: TimeModulatedPlan) -> None:
-    """Every element's phase chi_m(tau)*tau must be finite and below MAX_PHASE_CYCLES.
+def _check_time_modulated(config: ArrayConfig, plan: TimeModulatedPlan) -> None:
+    """Every element's phase must be finite and below MAX_PHASE_CYCLES, its frequency positive.
 
-    For the analytic forms |chi_m(tau)*tau| = |m*rate|*|g(x)*x|*time_scale
-    with x = tau/time_scale does not fall as |tau| or m grows, so the ends of
-    the pulse's tau range bound it at the last element.
+    Both read chi_{M-1} at the outer element-local times of the pulse's rows,
+    -(M-1)d/c and T_p + (M-1)d/c, which bound every tau the engine evaluates.
+    The analytic forms have chi_m = m*rate*g(x), x = tau/time_scale, with g
+    monotone, so there the last element has the lowest frequency f_c + chi_m(tau)
+    and the largest phase |chi_m(tau)*tau| = |m*rate|*|g(x)*x|*time_scale, which
+    does not fall as |tau| or m grows.
     """
     m = config.num_elements - 1
-    tau = _pulse_local_times(config)
+    tau = np.ravel(local_time_ends(config, (0.0, config.pulse_duration)))
     with np.errstate(all="ignore"):
-        cycles = np.abs(plan.chi(m, tau) * tau).max()
+        chi = plan.chi(m, tau)
+        cycles = np.abs(chi * tau).max()
+        lowest = config.carrier_freq + chi.min()
     if not cycles < MAX_PHASE_CYCLES:
         raise ScenarioValidationError(
             f"plan: element {m}'s time-modulated phase reaches {cycles:g} cycles within "
             f"the pulse; it must be finite and below 2**52 cycles")
+    if not lowest > 0:
+        raise ScenarioValidationError(
+            f"plan: element frequency f_c + chi_m(tau) reaches {lowest:g} Hz within the "
+            f"pulse; every element frequency must be positive")
 
 
 def _samples(sec: configparser.SectionProxy, key: str, fallback: int, *rows: int) -> int:
@@ -248,9 +235,31 @@ def _preset_text(name: str) -> str:
         raise ScenarioValidationError(exc.args[0]) from exc
 
 
+# setup sections that select a kind: (selecting key, default kind, {kind: other keys it reads})
+_KINDS: dict[str, tuple[str, str, dict[str, tuple[str, ...]]]] = {
+    "plan": ("type", "uniform", {"uniform": ("offset",), "coded": ("coding", "offset", "seed"),
+                                 "tabulated": ("offsets",),
+                                 "time-modulated": ("form", "rate", "time_scale")}),
+    "weights": ("type", "uniform", {"uniform": (), "steered": ("angle",), "random": ("seed",)}),
+    "waveforms": ("kind", "rect", {"rect": (), "chirp-bank": ("base_rate", "rate_step")}),
+}
+
+
+def _kind(sec: configparser.SectionProxy) -> str:
+    "The kind a setup section selects; a key that kind does not read is a validation error."
+    selector, default, reads = _KINDS[sec.name]
+    kind = sec.get(selector, default).strip().lower()
+    if kind not in reads:
+        raise ScenarioParseError(f"{sec.name}: unknown {selector} {kind!r}")
+    for key in sec:
+        if key != selector and key not in reads[kind]:
+            raise ScenarioValidationError(f"{sec.name}: {selector} = {kind} does not read {key!r}")
+    return kind
+
+
 def _parse_plan(sec: configparser.SectionProxy, num_elements: int,
                 default_seed: int | None) -> FrequencyPlan:
-    kind = sec.get("type", "uniform").strip().lower()
+    kind = _kind(sec)
     if kind == "uniform":
         return UniformPlan(parse_quantity(sec.get("offset", "0"), "plan.offset"))
     if kind == "coded":
@@ -271,21 +280,19 @@ def _parse_plan(sec: configparser.SectionProxy, num_elements: int,
             raise ScenarioValidationError(
                 f"plan: {len(offsets)} tabulated offsets for {num_elements} elements")
         return TabulatedPlan(offsets=tuple(offsets))
-    if kind == "time-modulated":
-        try:
-            return TimeModulatedPlan(
-                form=sec.get("form", "sqrt").strip().lower(),
-                rate=parse_quantity(sec.get("rate", "0"), "plan.rate"),
-                time_scale=parse_quantity(sec.get("time_scale", "1 us"), "plan.time_scale"),
-            )
-        except ValueError as exc:
-            raise ScenarioValidationError(f"plan: {exc}") from exc
-    raise ScenarioParseError(f"plan: unknown type {kind!r}")
+    try:
+        return TimeModulatedPlan(
+            form=sec.get("form", "sqrt").strip().lower(),
+            rate=parse_quantity(sec.get("rate", "0"), "plan.rate"),
+            time_scale=parse_quantity(sec.get("time_scale", "1 us"), "plan.time_scale"),
+        )
+    except ValueError as exc:
+        raise ScenarioValidationError(f"plan: {exc}") from exc
 
 
 def _parse_weights(sec: configparser.SectionProxy, config: ArrayConfig,
                    plan: FrequencyPlan, default_seed: int | None) -> np.ndarray:
-    kind = sec.get("type", "uniform").strip().lower()
+    kind = _kind(sec)
     if kind == "uniform":
         return uniform_weights(config.num_elements)
     if kind == "steered":
@@ -296,29 +303,17 @@ def _parse_weights(sec: configparser.SectionProxy, config: ArrayConfig,
             return steered_weights(config, plan, angle)
         except ValueError as exc:
             raise ScenarioValidationError(f"weights: {exc}") from exc
-    if kind == "random":
-        seed = _get(sec, "seed", default_seed)
-        if seed is None:
-            raise ScenarioValidationError("weights: random weights require a seed")
-        try:
-            return random_unimodular_weights(config.num_elements, seed)
-        except ValueError as exc:
-            raise ScenarioValidationError(f"weights: {exc}") from exc
-    raise ScenarioParseError(f"weights: unknown type {kind!r}")
-
-
-# the keys each waveform kind reads besides "kind"
-_WAVEFORM_KEYS = {"rect": (), "chirp-bank": ("base_rate", "rate_step")}
+    seed = _get(sec, "seed", default_seed)
+    if seed is None:
+        raise ScenarioValidationError("weights: random weights require a seed")
+    try:
+        return random_unimodular_weights(config.num_elements, seed)
+    except ValueError as exc:
+        raise ScenarioValidationError(f"weights: {exc}") from exc
 
 
 def _parse_waveforms(sec: configparser.SectionProxy, config: ArrayConfig) -> list:
-    kind = sec.get("kind", "rect").strip().lower()
-    if kind not in _WAVEFORM_KEYS:
-        raise ScenarioParseError(f"waveforms: unknown kind {kind!r}")
-    for key in sec:
-        if key != "kind" and key not in _WAVEFORM_KEYS[kind]:
-            raise ScenarioValidationError(f"waveforms: kind = {kind} does not read {key!r}")
-    if kind == "rect":
+    if _kind(sec) == "rect":
         return [rect_pulse(config.pulse_duration)] * config.num_elements
     try:  # finite rate numbers can still overflow once divided by T_p^2
         return make_chirp_bank(
@@ -334,21 +329,18 @@ def _write_grids(grids: list[tuple[BeampatternGrid, str]], out: Path, formats) -
     """Write each (grid, stem) of one section in every requested format; returns the paths.
 
     %.10g formatting holds the GIL, so where two or more CSV grids are due and
-    the platform can fork, a child process writes the CSVs of about half the
-    cells while this process writes the others and every binary. Both run the
-    same writers, so the bytes do not depend on the split. The child calls no
-    BLAS and always leaves through os._exit; this process reaps it before
-    returning or raising, and a child that failed fails the section.
+    the platform can fork, a child process writes every other CSV while this
+    process writes the rest and every binary. A section's grids share one shape,
+    so that halves the cells, or nearly for an odd count. Both run the same
+    writers, so the bytes do not depend on the split. The child calls no BLAS and
+    always leaves through os._exit; this process reaps it before returning or
+    raising, and a child that failed fails the section.
     """
     csv = [(grid, out / f"{stem}.csv") for grid, stem in grids if "csv" in formats]
     binary = [(grid, out / f"{stem}.bin") for grid, stem in grids if "binary" in formats]
     shares, pid = ([], csv), None  # the CSV writes of the child and of this process
     if len(csv) > 1 and hasattr(os, "fork"):
-        shares, cells = ([], []), [0, 0]
-        for job in sorted(csv, key=lambda job: job[0].values.size, reverse=True):
-            side = int(cells[1] < cells[0])
-            shares[side].append(job)
-            cells[side] += job[0].values.size
+        shares = (csv[0::2], csv[1::2])
         with warnings.catch_warnings():
             # Python 3.12+ warns on fork when threads exist; OpenBLAS's idle pool
             # threads are such, and the child never enters BLAS
@@ -628,9 +620,7 @@ _SECTIONS: dict[str, _Section] = {
 _SETUP_SECTIONS: dict[str, tuple[str, ...]] = {
     "scenario": ("preset", "name", "seed"),
     "array": ("elements", "carrier", "pulse", "spacing", "wave_speed"),
-    "plan": ("type", "offset", "offsets", "coding", "seed", "form", "rate", "time_scale"),
-    "weights": ("type", "angle", "seed"),
-    "waveforms": ("kind", "base_rate", "rate_step"),
+    **{name: (selector, *sum(reads.values(), ())) for name, (selector, _, reads) in _KINDS.items()},
     "outputs": ("directory", "formats"),
 }
 
@@ -690,8 +680,7 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     except ValueError as exc:
         raise ScenarioValidationError(f"array: {exc}") from exc
     if isinstance(plan, TimeModulatedPlan):
-        _check_phase_cycles(config, plan)
-        _check_element_frequencies("plan", config, plan)
+        _check_time_modulated(config, plan)
 
     weights = _parse_weights(parser["weights"], config, plan, seed)
     waveforms = _parse_waveforms(parser["waveforms"], config)

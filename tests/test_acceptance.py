@@ -15,7 +15,6 @@ from scipy.optimize import brentq
 import fdabeam as fb
 from fdabeam import cli
 from fdabeam.beampattern_instant import exact_field_matrix
-from fdabeam.beampattern_integral import default_quadrature_samples
 
 from conftest import make_config
 from test_beampattern_integral import fgtb_direct_oracle
@@ -255,8 +254,7 @@ def test_criterion_08_fgtb_regimes():
 
     # orthogonal regime: flat within 1 dB
     plan_b = fb.UniformPlan(b_s)
-    n_q = default_quadrature_samples(cfg, bank, plan_b)
-    r_orth = fb.covariance(bank, plan_b, n_q)
+    r_orth = fb.covariance(bank, plan_b)
     theta = fb.theta_grid(721)
     flat = fb.fgtb(r_orth, cfg, plan_b, fb.uniform_weights(M), theta)
     ripple_db = 10 * np.log10(flat.max() / flat.min())
@@ -264,7 +262,7 @@ def test_criterion_08_fgtb_regimes():
 
     # coherent regime: identical waveforms, zero offset
     same = [bank[0]] * M
-    r_coh = fb.covariance(same, fb.UniformPlan(0.0), n_q)
+    r_coh = fb.covariance(same, fb.UniformPlan(0.0))
     coherent = fb.fgtb(r_coh, cfg, fb.UniformPlan(0.0), fb.uniform_weights(M), theta)
     ratio_db = 10 * np.log10(coherent.max() / flat.mean())
     assert ratio_db == pytest.approx(10 * np.log10(M), abs=0.5)
@@ -311,13 +309,9 @@ def test_criterion_10_covariance_properties():
     bank = fb.make_chirp_bank(cfg)
     cases = []
     for delta_f in (0.0, 1e6, 10e6):
-        plan = fb.UniformPlan(delta_f)
-        n_q = default_quadrature_samples(cfg, bank, plan)
-        cases.append(fb.covariance(bank, plan, n_q))
-    cases.append(fb.covariance(bank, fb.UniformPlan(0.0),
-                               default_quadrature_samples(cfg, bank, fb.UniformPlan(0.0))))
+        cases.append(fb.covariance(bank, fb.UniformPlan(delta_f)))
     rect_bank = [RECT] * M
-    harmonic = fb.covariance(rect_bank, fb.UniformPlan(2 / TP), 4096)
+    harmonic = fb.covariance(rect_bank, fb.UniformPlan(2 / TP))
     cases.append(harmonic)
 
     for r in cases:

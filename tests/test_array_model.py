@@ -30,13 +30,6 @@ class TestArrayConfig:
             with pytest.raises(ValueError):
                 make(bad)
 
-    def test_narrowband_ratio(self):
-        cfg = make_config(0.0)
-        # M*d*B/c with B = 10 MHz
-        expected = 16 * cfg.spacing * 10e6 / 3e8
-        assert cfg.narrowband_ratio(10e6) == pytest.approx(expected)
-        assert cfg.narrowband_ratio(10e6) < 1e-2
-
 
 class TestReferenceWavelength:
     def test_zero_offset_is_carrier_wavelength(self):

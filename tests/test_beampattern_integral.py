@@ -49,25 +49,23 @@ def rect_bank():
 
 class TestCovariance:
     def test_identical_pulses_zero_offset_all_ones(self, rect_bank):
-        r = fb.covariance(rect_bank, fb.UniformPlan(0.0), 4096)
+        r = fb.covariance(rect_bank, fb.UniformPlan(0.0))
         assert np.allclose(r.entries, 1.0, atol=1e-12)
 
     def test_harmonic_offsets_give_identity(self, rect_bank):
-        r = fb.covariance(rect_bank, fb.UniformPlan(1 / TP), 4096)
+        r = fb.covariance(rect_bank, fb.UniformPlan(1 / TP))
         assert np.allclose(r.entries, np.eye(M), atol=1e-6)
-        assert r.max_off_diagonal() < 1e-12
+        assert np.abs(r.entries[~np.eye(M, dtype=bool)]).max() < 1e-12
 
     def test_unit_diagonal_for_unit_energy(self, cfg):
         bank = fb.make_chirp_bank(cfg)
-        n_q = default_quadrature_samples(cfg, bank, fb.UniformPlan(10e6))
-        r = fb.covariance(bank, fb.UniformPlan(10e6), n_q)
+        r = fb.covariance(bank, fb.UniformPlan(10e6))
         assert np.abs(np.diag(r.entries) - 1.0).max() < 1e-6
 
     def test_hermitian_and_psd(self, cfg):
         bank = fb.make_chirp_bank(cfg)
         for delta_f in (0.0, 1e6, 10e6):
-            n_q = default_quadrature_samples(cfg, bank, fb.UniformPlan(delta_f))
-            r = fb.covariance(bank, fb.UniformPlan(delta_f), n_q)
+            r = fb.covariance(bank, fb.UniformPlan(delta_f))
             assert np.abs(r.entries - r.entries.conj().T).max() <= 1e-10
             trace = np.real(np.trace(r.entries))
             assert np.linalg.eigvalsh(r.entries).min() >= -1e-8 * trace
@@ -75,16 +73,10 @@ class TestCovariance:
 
     def test_chirp_bank_orthogonal_regime_off_diagonals(self, cfg):
         bank = fb.make_chirp_bank(cfg)
-        n_q = default_quadrature_samples(cfg, bank, fb.UniformPlan(10e6))
-        r = fb.covariance(bank, fb.UniformPlan(10e6), n_q)
-        worst = r.max_off_diagonal()
+        r = fb.covariance(bank, fb.UniformPlan(10e6))
+        worst = np.abs(r.entries[~np.eye(M, dtype=bool)]).max()
         print(f"chirp bank off-diagonal peak at delta_f = B: {worst:.4e}")
         assert worst < 0.05
-
-    def test_undersampling_rejected(self, cfg):
-        bank = fb.make_chirp_bank(cfg)
-        with pytest.raises(fb.SamplingError):
-            fb.covariance(bank, fb.UniformPlan(10e6), 64)
 
     def test_down_chirp_bank_samples_like_its_mirror(self):
         # the conjugate of a down-chirp bank on offsets -df is the up-chirp bank on +df, so
@@ -96,18 +88,12 @@ class TestCovariance:
             for s in (-1.0, 1.0))
         assert down == up == 24 * 32
 
-    def test_one_panel_short_rejected(self, cfg):
+    def test_node_count_is_the_default(self, cfg):
+        # the CLI's cell budget and the benchmark tracer count default_quadrature_samples nodes
         bank = fb.make_chirp_bank(cfg)
         plan = fb.UniformPlan(1e6)
         n_q = default_quadrature_samples(cfg, bank, plan)
-        assert fb.covariance(bank, plan, n_q).n_quadrature == n_q
-        with pytest.raises(fb.SamplingError):
-            fb.covariance(bank, plan, n_q - PANEL_ORDER)
-
-    @pytest.mark.parametrize("n_q", [0, -PANEL_ORDER, 4096 + 1])
-    def test_node_count_must_fill_whole_panels(self, rect_bank, n_q):
-        with pytest.raises(ValueError, match="multiple of"):
-            fb.covariance(rect_bank, fb.UniformPlan(0.0), n_q)
+        assert fb.covariance(bank, plan).n_quadrature == n_q
 
     def test_panel_cap_meets_bernstein_bound(self):
         # Trefethen's Gauss bound for a quadratic-phase integrand of PANEL_CYCLES cycles
@@ -186,28 +172,27 @@ class TestClosedFormCovariance:
 
 class TestFgtb:
     def test_zero_weights(self, cfg, rect_bank):
-        r = fb.covariance(rect_bank, fb.UniformPlan(0.0), 4096)
+        r = fb.covariance(rect_bank, fb.UniformPlan(0.0))
         val = fb.fgtb(r, cfg, fb.UniformPlan(0.0), np.zeros(M, dtype=complex), 0.3)
         assert val[0] == 0.0
 
     def test_orthogonal_regime_flat_m_over_tp(self, cfg, rect_bank):
         plan = fb.UniformPlan(1 / TP)
-        r = fb.covariance(rect_bank, plan, 4096)
+        r = fb.covariance(rect_bank, plan)
         theta = fb.theta_grid(64)
         vals = fb.fgtb(r, cfg, plan, fb.uniform_weights(M), theta)
         assert np.allclose(vals, M / TP, rtol=1e-9)
 
     def test_coherent_regime_m_squared_over_tp(self, cfg, rect_bank):
         plan = fb.UniformPlan(0.0)
-        r = fb.covariance(rect_bank, plan, 4096)
+        r = fb.covariance(rect_bank, plan)
         val = fb.fgtb(r, cfg, plan, fb.uniform_weights(M), 0.0)
         assert val[0] == pytest.approx(M**2 / TP, rel=1e-9)
 
     def test_trace_equals_quadratic(self, cfg):
         bank = fb.make_chirp_bank(cfg)
         plan = fb.UniformPlan(3e6)
-        n_q = default_quadrature_samples(cfg, bank, plan)
-        r = fb.covariance(bank, plan, n_q)
+        r = fb.covariance(bank, plan)
         theta = fb.theta_grid(17)
         w = fb.random_unimodular_weights(M, seed=11)
         quad = fb.fgtb(r, cfg, plan, w, theta)
@@ -220,8 +205,7 @@ class TestFgtb:
     def test_nonnegative_quadratic_form(self, cfg, seed):
         bank = fb.make_chirp_bank(cfg)
         plan = fb.UniformPlan(2e6)
-        n_q = default_quadrature_samples(cfg, bank, plan)
-        r = fb.covariance(bank, plan, n_q)
+        r = fb.covariance(bank, plan)
         w = fb.random_unimodular_weights(M, seed=seed)
         vals = fb.fgtb(r, cfg, plan, w, fb.theta_grid(65))
         assert vals.min() >= -1e-12
@@ -257,8 +241,7 @@ class TestFgtb:
         ratios = []
         for delta_f in (0.0, 1e6, 5e6, 10e6):
             plan = fb.UniformPlan(delta_f)
-            n_q = default_quadrature_samples(cfg, bank, plan)
-            r = fb.covariance(bank, plan, n_q)
+            r = fb.covariance(bank, plan)
             vals = fb.fgtb(r, cfg, plan, fb.uniform_weights(M), theta)
             ratios.append(vals.max() / vals.mean())
         print("peak-to-mean ratios:", [f"{v:.3f}" for v in ratios])
@@ -268,8 +251,7 @@ class TestFgtb:
     def test_flat_at_orthogonality(self, cfg):
         bank = fb.make_chirp_bank(cfg)
         plan = fb.UniformPlan(10e6)
-        n_q = default_quadrature_samples(cfg, bank, plan)
-        r = fb.covariance(bank, plan, n_q)
+        r = fb.covariance(bank, plan)
         vals = fb.fgtb(r, cfg, plan, fb.uniform_weights(M), fb.theta_grid(721))
         assert 10 * np.log10(vals.max() / vals.min()) < 1.0
 
@@ -277,12 +259,12 @@ class TestFgtb:
 class TestMimoBeampattern:
     def test_orthogonal_flat_norm_squared(self, cfg, rect_bank):
         shifted = [fb.with_freq_offset(wf, m / TP) for m, wf in enumerate(rect_bank)]
-        r = fb.covariance(shifted, fb.UniformPlan(0.0), 8192)
+        r = fb.covariance(shifted, fb.UniformPlan(0.0))
         vals = fb.mimo_beampattern(r, cfg, fb.uniform_weights(M), fb.theta_grid(64))
         assert np.allclose(vals, M, rtol=1e-6)
 
     def test_coherent_boresight(self, cfg, rect_bank):
-        r = fb.covariance(rect_bank, fb.UniformPlan(0.0), 4096)
+        r = fb.covariance(rect_bank, fb.UniformPlan(0.0))
         val = fb.mimo_beampattern(r, cfg, fb.uniform_weights(M), 0.0)
         assert val[0] == pytest.approx(M**2, rel=1e-9)
 
@@ -349,11 +331,10 @@ class TestCompareFgtbMimo:
         cfg = make_config(0.0, num_elements=num_elements)
         bank = _bank(kind, cfg)
         plan = fb.UniformPlan(delta_f)
-        n_q = default_quadrature_samples(cfg, bank, plan)
         folded = fb.covariance([fb.with_freq_offset(wf, off)
                                 for wf, off in zip(bank, fb.plan_offsets(plan, num_elements))],
-                               fb.UniformPlan(0.0), n_q)
-        assert np.array_equal(folded.entries, fb.covariance(bank, plan, n_q).entries)
+                               fb.UniformPlan(0.0))
+        assert np.array_equal(folded.entries, fb.covariance(bank, plan).entries)
 
         w = fb.random_unimodular_weights(num_elements, seed=3)
         theta = fb.theta_grid(181)

@@ -453,6 +453,20 @@ class TestMainVerbs:
          "waveforms: kind = rect does not read 'base_rate'"),
         ("[waveforms]\nkind = rect\nrate_step = 5\n[fitb_grid]\n",
          "waveforms: kind = rect does not read 'rate_step'"),
+        ("[weights]\ntype = uniform\nangle = 30 deg\n[fitb_grid]\n",
+         "weights: type = uniform does not read 'angle'"),
+        ("[weights]\ntype = random\nseed = 3\nangle = 30 deg\n[fitb_grid]\n",
+         "weights: type = random does not read 'angle'"),
+        ("[plan]\ntype = uniform\nform = sqrt\nrate = 1 kHz\ncoding = costas\n[fitb_grid]\n",
+         "plan: type = uniform does not read 'form'"),
+        ("[plan]\nrate = 1 kHz\n[fitb_grid]\n", "plan: type = uniform does not read 'rate'"),
+        ("[plan]\ntype = tabulated\noffsets = 0, 0, 0, 0, 0, 0, 0, 0\nseed = 3\n[fitb_grid]\n",
+         "plan: type = tabulated does not read 'seed'"),
+        ("[plan]\ntype = time-modulated\noffset = 1 kHz\n[fitb_grid]\n",
+         "plan: type = time-modulated does not read 'offset'"),
+        # fig5b's steered [weights] section still holds its angle under this overlay
+        ("[scenario]\npreset = fig5b\n[weights]\ntype = uniform\n",
+         "weights: type = uniform does not read 'angle'"),
         # 1e300 / (5 us)^2 overflows to an infinite chirp rate
         ("[waveforms]\nkind = chirp-bank\nbase_rate = 1e300\n[fitb_grid]\n",
          "waveforms: chirp_rate must be finite, got inf"),
@@ -472,7 +486,9 @@ class TestMainVerbs:
             "time-modulated-phase-beyond-2-52", "time-modulated-table-form",
             "time-modulated-negative-frequency", "time-modulated-arctan-negative-frequency",
             "legacy-range-beyond-axis", "rect-base-rate", "rect-rate-step",
-            "chirp-rate-overflow"])
+            "uniform-weights-angle", "random-weights-angle", "uniform-plan-form",
+            "default-plan-rate", "tabulated-plan-seed", "time-modulated-plan-offset",
+            "preset-weights-angle", "chirp-rate-overflow"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, verb, body, expected):
         # a body without its own [array] section runs on an 8-element array
         path = tmp_path / "s.ini"
@@ -483,6 +499,20 @@ class TestMainVerbs:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("validation error") and expected in err
+
+    @pytest.mark.parametrize("body, expected", [
+        ("[plan]\ntype = chirped\noffset = 1 kHz\n", "plan: unknown type 'chirped'"),
+        ("[weights]\ntype = tapered\nangle = 30 deg\n", "weights: unknown type 'tapered'"),
+        ("[waveforms]\nkind = noise\nbase_rate = 100\n", "waveforms: unknown kind 'noise'"),
+    ], ids=["plan", "weights", "waveforms"])
+    def test_unknown_kind_exit_2(self, tmp_path, capsys, body, expected):
+        # the kind is checked before the keys it would read
+        path = tmp_path / "s.ini"
+        path.write_text("[array]\nelements = 8\ncarrier = 10 GHz\npulse = 5 us\n"
+                        + body + "[fitb_grid]\n")
+        assert cli.main(["validate", str(path)]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and expected in err
 
     def test_cli_import_loads_no_thread_pool_or_logging(self):
         # keeps the CLI's start-up light: the time-modulated kernel imports its pool lazily
