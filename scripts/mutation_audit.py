@@ -83,6 +83,12 @@ MUTANTS = (
      "    )\n    return dirichlet_magnitude(ups",
      "+ config.carrier_freq * config.spacing * np.sin(theta) / config.wave_speed\n"
      "    )\n    return dirichlet_magnitude(ups"),
+    ("csv-tie-guard-off", "beampattern_instant.py",
+     " & (np.abs(np.abs(m - r) - 0.5) >= 1e-5)", ""),
+    ("csv-fixed-range-to-e10", "beampattern_instant.py",
+     "_FIXED = np.arange(-4, 10)", "_FIXED = np.arange(-4, 11)"),
+    ("csv-point-on-integral-values", "beampattern_instant.py",
+     "p = np.where((keep > whole) & (e >= 0), whole, 16)", "p = np.where(e >= 0, whole, 16)"),
     ("skip-element-frequency-check", "cli.py",
      "    if config.carrier_freq + plan_offsets(plan, config.num_elements).min() <= 0:",
      "    if False:"),

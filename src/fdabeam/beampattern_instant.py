@@ -437,23 +437,87 @@ def legacy_grid(config: ArrayConfig, delta_f: float, r: float,
     return BeampatternGrid(t_axis, th_axis, values, "linear-magnitude")
 
 
-def _row_format(n: int) -> str:
-    "printf format of one CSV row of n numbers; every artifact cell is %.10g."
-    return ",".join(["%.10g"] * n)
+# %.10g in numpy.  A cell whose decimal exponent e lies in _FIXED prints in fixed
+# notation, and its ten significant digits are r = rint(m), m = |x| * 10**(9 - e): the
+# power is exact, so m is one rounding (at most 2**-20) from its exact value, and r is
+# right unless m lies within 1e-5 of a half-integer.  Such cells, r outside [1e9, 1e10)
+# (log10 one off, or rounding up to the next power), zero, non-finite and exponential
+# cells are left to '%.10g' % v.
+_FIXED = np.arange(-4, 10)
+_SCALE = 10.0 ** (9 - _FIXED)
+_d = np.arange(10, dtype=np.uint64)  # entry k of a 4-digit table: k's digits on axes 0..3
+_DIGITS = (_d[:, None, None, None] | _d[:, None, None] << 8 | _d[:, None] << 16 | _d << 24
+           ).ravel() + 0x30303030  # k as four ASCII digits, first in the low byte
+_z = (_d == 0).astype(np.intp)
+_TRAILING = (_z * (1 + _z[:, None] * (1 + _z[:, None, None] * (1 + _z[:, None, None, None])))
+             ).ravel()  # trailing zeros of k's four digits
+# 16 bytes as two little-endian words: entry n sets bytes 0..n-1, or puts '.' at byte n
+_BELOW0, _BELOW1 = ((np.arange(16) < np.arange(17)[:, None]) * np.uint8(255)).view("<u8").T.copy()
+_DOT0, _DOT1 = ((np.arange(16) == np.arange(17)[:, None]) * np.uint8(46)).view("<u8").T.copy()
+# what goes in front of the digits, by j = min(e, 0) + 4 + 5 * (x < 0), and its bit count
+_PREFIX = np.array(["0.000", "0.00", "0.0", "0.", "", "-0.000", "-0.00", "-0.0", "-0.", "-"], "S8")
+_SHIFT = 8 * (_PREFIX.view(np.uint8).reshape(10, 8) > 0).sum(axis=1, dtype=np.uint64)
+_CELL = np.dtype([("text", "S23"), ("end", "S1")])  # NUL-padded text, then "," or "\n"
+_CSV_CELLS = 1 << 14
+"Cells formatted at a time by write_csv; the formatter's scratch arrays stay in cache."
+
+
+def _csv_lines(table: np.ndarray) -> bytes:
+    "A 2-D block as CSV lines, each cell exactly the bytes '%.10g' % v gives."
+    x = np.ascontiguousarray(table, dtype=float).ravel()
+    a = np.abs(x)
+    with np.errstate(all="ignore"):
+        e = np.floor(np.log10(a))
+        fast = (e >= _FIXED[0]) & (e <= _FIXED[-1])
+        e = np.where(fast, e, 0.0).astype(np.int64)
+        m = a * _SCALE[e - _FIXED[0]]
+        r = np.rint(m)
+        fast &= (r >= 1e9) & (r < 1e10) & (np.abs(np.abs(m - r) - 0.5) >= 1e-5)
+    n = np.where(fast, r, 1e9).astype(np.int64)
+    hi = n // 100_000_000
+    lo1, lo2 = np.divmod(n - hi * 100_000_000, 10_000)
+    # the ten digits as bytes 0..9 of two little-endian words
+    last = _DIGITS[lo2]
+    w0 = _DIGITS[hi] >> 16 | _DIGITS[lo1] << 16 | last << 48
+    w1 = last >> 16
+    tz = _TRAILING[lo2] + (lo2 == 0) * (_TRAILING[lo1] + (lo1 == 0) * _TRAILING[hi])
+    whole = np.maximum(e + 1, 0)  # digits before the point
+    keep = np.maximum(10 - tz, whole)  # digits printed
+    w0 &= _BELOW0[keep]
+    w1 &= _BELOW1[keep]
+    # a point after the whole digits when a fraction is left: the bytes from p move up one
+    p = np.where((keep > whole) & (e >= 0), whole, 16)
+    below0, below1 = _BELOW0[p], _BELOW1[p]
+    moved = w0 & ~below0
+    w1 = w1 & below1 | (w1 & ~below1) << 8 | moved >> 56 | _DOT1[p]
+    w0 = w0 & below0 | moved << 8 | _DOT0[p]
+    # the sign and, for e < 0, "0." and -e - 1 zeros go in front
+    j = np.minimum(e, 0) + 4 + 5 * (x < 0)
+    shift = _SHIFT[j]
+    words = np.zeros((x.size, 3), "<u8")
+    words[:, 0] = w0 << shift | _PREFIX.view("<u8")[j]
+    words[:, 1] = w1 << shift | w0 >> 8 >> 56 - shift
+    cells = words.view(_CELL).reshape(table.shape)
+    cells["end"] = b","
+    cells["end"][:, -1] = b"\n"
+    bad = np.flatnonzero(~fast)
+    cells.reshape(-1)["text"][bad] = list(map(b"%.10g".__mod__, x[bad].tolist()))
+    raw = words.view(np.uint8).reshape(-1)
+    return raw[raw != 0].tobytes()  # each cell's NUL padding goes
 
 
 def write_csv(path: str | Path, header: str, *columns) -> Path:
     """Write a header line, then 1-D columns and 2-D blocks side by side as CSV; returns the path.
 
-    The file ends with a newline.
+    Every cell is the bytes '%.10g' % v gives, and the file ends with a newline.
     """
     path = Path(path)
-    table = np.column_stack(columns)
-    fmt = _row_format(table.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        # row by row: a whole-table tolist() holds every cell as a Python float
-        fh.writelines(fmt % tuple(row.tolist()) for row in table)
+    width = sum(np.shape(c)[1] if np.ndim(c) == 2 else 1 for c in columns)
+    step = max(1, _CSV_CELLS // width)
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, max(map(len, columns)), step):  # unequal lengths fail a stack
+            fh.write(_csv_lines(np.column_stack([c[start:start + step] for c in columns])))
     return path
 
 
@@ -464,7 +528,7 @@ def grid_to_csv(grid: BeampatternGrid, path: str | Path) -> Path:
     normalization tag.
     """
     theta_deg = np.degrees(grid.theta_axis)
-    header = "t_us," + _row_format(theta_deg.size) % tuple(theta_deg.tolist())
+    header = "t_us," + _csv_lines(theta_deg[None, :]).decode()[:-1]
     return write_csv(path, header, grid.t_axis * 1e6, grid.values)
 
 

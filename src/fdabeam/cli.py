@@ -328,13 +328,14 @@ def _parse_waveforms(sec: configparser.SectionProxy, config: ArrayConfig) -> lis
 def _write_grids(grids: list[tuple[BeampatternGrid, str]], out: Path, formats) -> list[Path]:
     """Write each (grid, stem) of one section in every requested format; returns the paths.
 
-    %.10g formatting holds the GIL, so where two or more CSV grids are due and
-    the platform can fork, a child process writes every other CSV while this
-    process writes the rest and every binary. A section's grids share one shape,
-    so that halves the cells, or nearly for an odd count. Both run the same
-    writers, so the bytes do not depend on the split. The child calls no BLAS and
-    always leaves through os._exit; this process reaps it before returning or
-    raising, and a child that failed fails the section.
+    CSV formatting takes most of a section's time on one core, so where two or
+    more CSV grids are due and the platform can fork, a child process writes every
+    other CSV while this process writes the rest and every binary. A section's
+    grids share one shape, so that halves the cells, or nearly for an odd count.
+    Both run the same writers, so the bytes do not depend on the split. The child's
+    numpy formatter calls no BLAS, and the child always leaves through os._exit;
+    this process reaps it before returning or raising, and a child that failed
+    fails the section.
     """
     csv = [(grid, out / f"{stem}.csv") for grid, stem in grids if "csv" in formats]
     binary = [(grid, out / f"{stem}.bin") for grid, stem in grids if "binary" in formats]

@@ -3,13 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fdabeam as fb
+from fdabeam import cli
 from fdabeam.beampattern_instant import (
     BLOCK_CELLS,
+    _CSV_CELLS,
     _chebyshev_basis,
+    _csv_lines,
     _cycle_phasor,
     _element_sum,
     _product_rows,
@@ -18,6 +21,7 @@ from fdabeam.beampattern_instant import (
     grid_from_csv,
     grid_to_binary,
     grid_to_csv,
+    write_csv,
 )
 
 from conftest import field_oracle, make_config, time_modulated_oracle
@@ -501,3 +505,83 @@ def test_csv_artifact_text(tmp_path):
         path = tmp_path / f"{name}.csv"
         write(path)
         assert path.read_text() == expected, name
+
+
+def _percent_rows(table) -> bytes:
+    "CSV lines as write_csv printed them row by row with %, the reference for every cell."
+    table = np.asarray(table, dtype=float)
+    fmt = ",".join(["%.10g"] * table.shape[1]) + "\n"
+    return "".join(fmt % tuple(row.tolist()) for row in table).encode()
+
+
+def _ulps(value: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+_TEN_DIGITS = st.integers(10**9, 10**10 - 1)
+_DRAWN_CELL = st.one_of(
+    # a few ulps around powers of ten, where log10 may be one off
+    st.builds(lambda k, u: _ulps(10.0 ** k, u), st.integers(-6, 12), st.integers(-3, 3)),
+    # exact and near decimal ties of the tenth digit: (k + 0.5) * 10**-j
+    st.builds(lambda k, j, u: _ulps((k + 0.5) / 10.0 ** j, u), _TEN_DIGITS,
+              st.integers(-1, 14), st.integers(-2, 2)),
+    # around 9.9999999995e, where rounding carries into the next power
+    st.builds(lambda k, u: _ulps(9.9999999995 * 10.0 ** k, u), st.integers(-6, 10),
+              st.integers(-3, 3)),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308]),
+    st.floats(min_value=0.0, max_value=1e-4, exclude_max=True),
+    st.floats(min_value=1e10, allow_infinity=False),
+    st.integers(-100_000, 100_000).map(float),
+    st.floats(),
+)
+_SIGNED_CELL = st.tuples(_DRAWN_CELL, st.booleans()).map(lambda c: -c[0] if c[1] else c[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SIGNED_CELL, min_size=1, max_size=24))
+@example([673265518.55, 6732.6551855, 1.0000000005, -60.0, 120.0, 12345678901.0, -0.0])
+def test_csv_lines_match_percent_cell_by_cell(values):
+    "The numpy formatter gives exactly the bytes of '%.10g' % v, cell by cell."
+    for cells in (np.array([values]), np.array(values)[:, None]):
+        assert _csv_lines(cells) == _percent_rows(cells)
+    for v in values:
+        assert _csv_lines(np.array([[v]])) == b"%.10g\n" % v, v
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (_CSV_CELLS + 3, 0), (40, 1024)])
+def test_write_csv_matches_percent_rows(tmp_path, shape):
+    "One row, one column, and row counts that the write blocks do not divide."
+    rng = np.random.default_rng(sum(shape))
+    t = np.linspace(0.0, 5.0, shape[0])
+    block = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 12, shape)
+    columns = (t, block) if shape[1] else (t,)
+    path = write_csv(tmp_path / "t.csv", "a,b", *columns)
+    assert path.read_bytes() == b"a,b\n" + _percent_rows(np.column_stack(columns))
+
+
+@pytest.mark.parametrize("rows", [(15, 20), (20, 15)])
+def test_write_csv_rejects_unequal_columns(tmp_path, rows):
+    "The first column may end on a write-block boundary before the grid does."
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", "a", np.zeros(rows[0]), np.zeros((rows[1], 1024)))
+
+
+@pytest.mark.parametrize("preset,section", [("fig3c", "fitb_grid"), ("fig6", "legacy_grid"),
+                                            ("fig7a", "fitb_grid")])
+def test_preset_grids_match_percent_rows(tmp_path, preset, section):
+    "Small real grids, linear and dB, byte for byte against the % row format."
+    sc = cli.load_scenario(f"[scenario]\npreset = {preset}\n[{section}]\n"
+                           "time_samples = 40\nangle_samples = 65\n")
+    params = dict(sc.evaluations)[section]
+    if section == "legacy_grid":
+        grid = fb.legacy_grid(sc.config, sc.plan.delta_f, params["ranges"][0], params["t_axis"],
+                              params["n_theta"])
+    else:
+        grid = fb.sweep_grid(sc.config, sc.plan, sc.weights, sc.waveforms,
+                             n_time=params["n_time"], n_theta=params["n_theta"])
+    for g in (grid, grid.to_db()):
+        header = "t_us," + _percent_rows(np.degrees(g.theta_axis)[None, :]).decode()
+        expected = header.encode() + _percent_rows(np.column_stack((g.t_axis * 1e6, g.values)))
+        assert grid_to_csv(g, tmp_path / "g.csv").read_bytes() == expected
