@@ -114,8 +114,12 @@ MUTANTS = (
      '        raise ScenarioValidationError(f"waveforms: {exc}") from exc', "        raise"),
     ("non-utf-8-uncaught", "cli.py",
      "    except UnicodeDecodeError as exc:", "    except LookupError as exc:"),
-    ("parent-ignores-child-exit-status", "cli.py",
-     "    if status != 0:", "    if False:"),
+    ("worker-result-not-read", "cli.py",
+     "        for done in shared:\n            done.result()\n", ""),
+    ("writers-not-joined", "cli.py",
+     "    with pool:\n", "    with contextlib.nullcontext():\n"),
+    ("pool-loaded-for-every-section", "cli.py",
+     "    if len(csv) > 1:", "    if True:"),
 )
 
 

@@ -23,7 +23,6 @@ import os
 import re
 import shutil
 import sys
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -328,47 +327,23 @@ def _parse_waveforms(sec: configparser.SectionProxy, config: ArrayConfig) -> lis
 def _write_grids(grids: list[tuple[BeampatternGrid, str]], out: Path, formats) -> list[Path]:
     """Write each (grid, stem) of one section in every requested format; returns the paths.
 
-    CSV formatting takes most of a section's time on one core, so where two or
-    more CSV grids are due and the platform can fork, a child process writes every
-    other CSV while this process writes the rest and every binary. A section's
-    grids share one shape, so that halves the cells, or nearly for an odd count.
-    Both run the same writers, so the bytes do not depend on the split. The child's
-    numpy formatter calls no BLAS, and the child always leaves through os._exit;
-    this process reaps it before returning or raising, and a child that failed
-    fails the section.
+    One worker thread writes every other CSV grid while this thread writes the rest and
+    every binary: numpy formatting and file writes release the GIL. The worker is joined here.
     """
     csv = [(grid, out / f"{stem}.csv") for grid, stem in grids if "csv" in formats]
     binary = [(grid, out / f"{stem}.bin") for grid, stem in grids if "binary" in formats]
-    shares, pid = ([], csv), None  # the CSV writes of the child and of this process
-    if len(csv) > 1 and hasattr(os, "fork"):
-        shares = (csv[0::2], csv[1::2])
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on fork when threads exist; OpenBLAS's idle pool
-            # threads are such, and the child never enters BLAS
-            warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
-                                    DeprecationWarning)
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: write them all here
-                shares = ([], csv)
-        if pid == 0:
-            status = 1
-            try:
-                for grid, path in shares[0]:
-                    grid_to_csv(grid, path)
-                status = 0
-            finally:
-                os._exit(status)
-    try:
-        for grid, path in shares[1]:
+    pool = contextlib.nullcontext()  # with one CSV grid, csv[1::2] submits nothing to it
+    if len(csv) > 1:  # imported only where a grid is shared, off the CLI's start-up path
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(1)
+    with pool:
+        shared = [pool.submit(grid_to_csv, grid, path) for grid, path in csv[1::2]]
+        for grid, path in csv[0::2]:
             grid_to_csv(grid, path)
         for grid, path in binary:
             grid_to_binary(grid, path)
-    finally:
-        status = 0 if pid is None else os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status != 0:
-        names = ", ".join(path.name for _, path in shares[0])
-        raise OSError(f"the forked writer of {names} ended with exit code {status}")
+        for done in shared:
+            done.result()
     return [path for _, path in csv + binary]
 
 

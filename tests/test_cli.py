@@ -5,10 +5,11 @@ import io
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -179,27 +180,22 @@ class TestExecution:
                           for th in grid.theta_axis] for i, t in enumerate(grid.t_axis)])
         assert np.abs(grid.values - want).max() <= 1e-8 * want.max()
 
-    @pytest.mark.parametrize("fork", ["forked", "no-fork", "fork-fails"])
-    def test_section_grids_match_direct_writes(self, tmp_path, monkeypatch, fork):
-        # a section's grids may be written by two processes: the bytes must not show it
-        forks = []
+    def test_section_grids_match_direct_writes(self, tmp_path, monkeypatch):
+        # a worker thread writes every other CSV grid of a section: the bytes must not show it
+        threads, before = {}, threading.active_count()
 
-        def counted_fork(_fork=getattr(os, "fork", None)):
-            forks.append(fork)
-            if fork == "fork-fails":
-                raise BlockingIOError(errno.EAGAIN, "no process to spare")
-            return _fork()
+        def recording(grid, path, _write=cli.grid_to_csv):
+            threads[Path(path).name] = threading.get_ident()
+            return _write(grid, path)
 
-        if fork == "no-fork":
-            monkeypatch.delattr(os, "fork", raising=False)
-        elif hasattr(os, "fork"):
-            monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(cli, "grid_to_csv", recording)
         text = SMALL_SCENARIO + ("\n[legacy_grid]\nranges = 18 km, 27 km\ntime_samples = 8\n"
                                  "angle_samples = 32\n\n[outputs]\nformats = csv, binary\n")
         sc = cli.load_scenario(text)
         out = cli.execute_scenario(sc, tmp_path / "out")
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert threading.active_count() == before
+        assert {name for name, ident in threads.items() if ident != threading.get_ident()} == {
+            "fitb_grid.csv", "legacy_r18km.csv"}
         grid = fb.sweep_grid(sc.config, sc.plan, sc.weights, sc.waveforms, 16, 64)
         t_axis = dict(sc.evaluations)["legacy_grid"]["t_axis"]
         retarded = fb.sweep_grid(sc.config, sc.plan, sc.weights, sc.waveforms, t_axis.size, 32)
@@ -213,38 +209,40 @@ class TestExecution:
             for written in (grid_to_csv(g, direct / f"{stem}.csv"),
                             grid_to_binary(g, direct / f"{stem}.bin")):
                 assert (out / written.name).read_bytes() == written.read_bytes(), written.name
-        assert len(forks) == (0 if fork == "no-fork" or not hasattr(os, "fork") else 2)
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="without fork every grid is written here")
-    def test_failing_child_writer_fails_the_run(self, tmp_path, capsys, monkeypatch):
-        # the forked writer takes the dB grid and inherits the patch through fork; it fails
-        # after a partial write, so only its exit status tells the parent
-        def failing(grid, path, _write=cli.grid_to_csv):
-            if Path(path).name.endswith("_db.csv"):
+    @pytest.mark.parametrize("failing", ["fitb_grid.csv", "fitb_grid_db.csv"],
+                             ids=["worker", "calling-thread"])
+    def test_failing_writer_fails_the_run(self, tmp_path, capsys, monkeypatch, failing):
+        # [fitb_grid]'s worker takes the linear grid and the calling thread the dB grid. One
+        # writer fails after a partial write; the other starts only 0.2 s after that, so a
+        # run that did not wait for it would leave its file short
+        failed, before = threading.Event(), threading.active_count()
+
+        def writer(grid, path, _write=cli.grid_to_csv):
+            if Path(path).name == failing:
                 Path(path).write_text("t_us,")
-                raise RuntimeError("formatter failed")
+                failed.set()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            assert failed.wait(10)
+            time.sleep(0.2)
             return _write(grid, path)
 
-        def hung(signum, frame):
-            raise TimeoutError("the run did not end within 60 s")
-
-        monkeypatch.setattr(cli, "grid_to_csv", failing)
+        monkeypatch.setattr(cli, "grid_to_csv", writer)
         path = tmp_path / "s.ini"
         path.write_text(SMALL_SCENARIO)
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(60)
-        try:
-            code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
+        assert threading.active_count() == before
         assert code == cli.EXIT_VALIDATION
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-        assert "fitb_grid_db.csv" in err
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert failing in err and os.strerror(errno.ENOSPC) in err
         assert not (tmp_path / "out" / "manifest.json").exists()
+        sc = cli.load_scenario(SMALL_SCENARIO)
+        grid = fb.sweep_grid(sc.config, sc.plan, sc.weights, sc.waveforms, 16, 64)
+        other = ({"fitb_grid.csv", "fitb_grid_db.csv"} - {failing}).pop()
+        direct = grid_to_csv(grid if other == "fitb_grid.csv" else grid.to_db(),
+                             tmp_path / other)
+        assert (tmp_path / "out" / other).read_bytes() == direct.read_bytes()
 
     def test_out_env_override(self, tmp_path, monkeypatch):
         # the output directory is --out or [outputs] directory; no environment variable overrides it
@@ -514,16 +512,35 @@ class TestMainVerbs:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and expected in err
 
-    def test_cli_import_loads_no_thread_pool_or_logging(self):
-        # keeps the CLI's start-up light: the time-modulated kernel imports its pool lazily
+    @staticmethod
+    def _pool_modules_after(code: str = "pass") -> str:
+        "The thread-pool modules loaded in a fresh interpreter after `import fdabeam.cli` and code."
         src = str(Path(cli.__file__).resolve().parents[1])
-        probe = ("import sys, fdabeam.cli; "
+        probe = (f"import sys, fdabeam.cli; {code}; "
                  "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, check=True)
-        assert done.stdout.strip() == "[]"
+        return done.stdout.strip()
+
+    def test_cli_import_loads_no_thread_pool_or_logging(self):
+        # keeps the CLI's start-up light: the time-modulated kernel imports its pool lazily
+        assert self._pool_modules_after() == "[]"
+
+    @pytest.mark.parametrize("section", [
+        "[schedule]\nsegment1 = 0 us, 5 us, -20 deg, 20 deg\ntime_samples = 8\n"
+        "angle_samples = 16\n[outputs]\nformats = csv\n",
+        "[fitb_grid]\ntime_samples = 8\nangle_samples = 16\n[outputs]\nformats = binary\n",
+    ], ids=["one-csv-grid", "binary-only"])
+    def test_unshared_sections_load_no_thread_pool(self, tmp_path, section):
+        # a section with at most one CSV grid shares none, so it leaves the writer's pool unloaded
+        text = ("[array]\nelements = 8\ncarrier = 10 GHz\npulse = 5 us\n"
+                "[plan]\ntype = uniform\noffset = 100 kHz\n" + section)
+        run = (f"fdabeam.cli.execute_scenario(fdabeam.cli.load_scenario({text!r}), "
+               f"{str(tmp_path)!r})")
+        assert self._pool_modules_after(run) == "[]"
+        assert (tmp_path / "manifest.json").exists()
 
     def test_every_preset_validates(self):
         for name, (_, text) in PRESETS.items():
@@ -567,8 +584,6 @@ class TestBlasThreads:
 
 class TestPresetContents:
     def test_all_presets_execute_within_budget(self, tmp_path):
-        import time
-
         for name, (_, text) in PRESETS.items():
             start = time.perf_counter()
             out = run_scenario_text(text, tmp_path / name)
