@@ -9,8 +9,8 @@ suite failed) or "SURVIVED".  The working tree is never modified.  The
 unmutated copy runs first: if it fails, no verdict would mean anything.
 
 It is not part of the test suite.  A full pass runs the suite once more than
-there are mutants: on a 2-core Xeon, about 25 s per survivor and 3-25 s per
-killed mutant, about five minutes in all.
+there are mutants: on a 2-core Xeon, about 28 s per survivor and 4-30 s per
+killed mutant, about ten minutes in all.
 
 Usage:
     python scripts/mutation_audit.py            # every mutant
@@ -55,6 +55,19 @@ MUTANTS = (
      "for k in range(-k_max, k_max + 1))", "for k in range(-k_max, k_max))"),
     ("ambiguity-threshold-0.3", "scan_analytics.py",
      "values[rows, j] < 0.5 * ref", "values[rows, j] < 0.3 * ref"),
+    # the paper's (f_c + delta_f) denominators, each with f_c alone
+    ("peak-direction-carrier-only", "scan_analytics.py",
+     "t_prime) / (\n        (config.carrier_freq + delta_f) * config.spacing\n",
+     "t_prime) / (\n        config.carrier_freq * config.spacing\n"),
+    ("scan-speed-carrier-only", "scan_analytics.py",
+     "(config.carrier_freq + delta_f) * config.spacing * math.cos(theta)",
+     "config.carrier_freq * config.spacing * math.cos(theta)"),
+    ("scan-volume-carrier-only", "scan_analytics.py",
+     "config.pulse_duration / (\n        (config.carrier_freq + delta_f) * config.spacing\n",
+     "config.pulse_duration / (\n        config.carrier_freq * config.spacing\n"),
+    ("zero-time-peaks-carrier-only", "scan_analytics.py",
+     "unit = config.wave_speed / ((config.carrier_freq + delta_f) * config.spacing)",
+     "unit = config.wave_speed / (config.carrier_freq * config.spacing)"),
     ("chi-at-retarded-time", "beampattern_instant.py",
      "plan.chi(mi, tau, out=cycles)", "plan.chi(mi, times, out=cycles)"),
     ("row-start-without-element-0", "beampattern_instant.py",
@@ -89,6 +102,18 @@ MUTANTS = (
      "_FIXED = np.arange(-4, 10)", "_FIXED = np.arange(-4, 11)"),
     ("csv-point-on-integral-values", "beampattern_instant.py",
      "p = np.where((keep > whole) & (e >= 0), whole, 16)", "p = np.where(e >= 0, whole, 16)"),
+    # artifact digests that disagree with the bytes written
+    ("csv-digest-skips-header", "beampattern_instant.py",
+     'fh.writelines(_hashing([header.encode() + b"\\n"], sha))',
+     'fh.write(header.encode() + b"\\n")'),
+    ("binary-digest-skips-header", "beampattern_instant.py",
+     'fh.writelines(_hashing((header, memoryview(np.ascontiguousarray(grid.values, "<f8"))), sha))',
+     'fh.write(header)\n'
+     '        fh.writelines(_hashing((memoryview(np.ascontiguousarray(grid.values, "<f8")),), sha))'),
+    ("legacy-copy-takes-wrong-digest", "cli.py",
+     "                      digest for name, digest in written.items()",
+     '                      written[f"legacy_r{tag}{Path(name).suffix}"]'
+     " for name, digest in written.items()"),
     ("skip-element-frequency-check", "cli.py",
      "    if config.carrier_freq + plan_offsets(plan, config.num_elements).min() <= 0:",
      "    if False:"),
@@ -115,11 +140,13 @@ MUTANTS = (
     ("non-utf-8-uncaught", "cli.py",
      "    except UnicodeDecodeError as exc:", "    except LookupError as exc:"),
     ("worker-result-not-read", "cli.py",
-     "        for done in shared:\n            done.result()\n", ""),
+     "    if failed:\n        raise failed[0]\n", ""),
     ("writers-not-joined", "cli.py",
-     "    with pool:\n", "    with contextlib.nullcontext():\n"),
+     "    worker.join()\n", ""),
     ("pool-loaded-for-every-section", "cli.py",
-     "    if len(csv) > 1:", "    if True:"),
+     "    worker = threading.Thread(",
+     "    from concurrent.futures import ThreadPoolExecutor  # noqa: F401\n"
+     "    worker = threading.Thread("),
 )
 
 

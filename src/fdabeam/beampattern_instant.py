@@ -506,30 +506,40 @@ def _csv_lines(table: np.ndarray) -> bytes:
     return raw[raw != 0].tobytes()  # each cell's NUL padding goes
 
 
-def write_csv(path: str | Path, header: str, *columns) -> Path:
+def _hashing(chunks, sha):
+    "Yield each bytes-like chunk after updating sha, a hashlib object or None, with it."
+    for chunk in chunks:
+        if sha is not None:
+            sha.update(chunk)
+        yield chunk
+
+
+def write_csv(path: str | Path, header: str, *columns, sha=None) -> Path:
     """Write a header line, then 1-D columns and 2-D blocks side by side as CSV; returns the path.
 
-    Every cell is the bytes '%.10g' % v gives, and the file ends with a newline.
+    Every cell is the bytes '%.10g' % v gives, and the file ends with a newline. A hashlib
+    object given as sha is updated with every byte written, as it is written.
     """
     path = Path(path)
     width = sum(np.shape(c)[1] if np.ndim(c) == 2 else 1 for c in columns)
     step = max(1, _CSV_CELLS // width)
+    blocks = (_csv_lines(np.column_stack([c[start:start + step] for c in columns]))
+              for start in range(0, max(map(len, columns)), step))  # unequal lengths fail a stack
     with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        for start in range(0, max(map(len, columns)), step):  # unequal lengths fail a stack
-            fh.write(_csv_lines(np.column_stack([c[start:start + step] for c in columns])))
+        fh.writelines(_hashing([header.encode() + b"\n"], sha))
+        fh.writelines(_hashing(blocks, sha))
     return path
 
 
-def grid_to_csv(grid: BeampatternGrid, path: str | Path) -> Path:
+def grid_to_csv(grid: BeampatternGrid, path: str | Path, *, sha=None) -> Path:
     """Write a grid as CSV: header row of theta in degrees, first column t in us.
 
     Cell values are dB or linear magnitudes according to the grid's
-    normalization tag.
+    normalization tag. sha is updated as by write_csv.
     """
     theta_deg = np.degrees(grid.theta_axis)
     header = "t_us," + _csv_lines(theta_deg[None, :]).decode()[:-1]
-    return write_csv(path, header, grid.t_axis * 1e6, grid.values)
+    return write_csv(path, header, grid.t_axis * 1e6, grid.values, sha=sha)
 
 
 def grid_from_csv(path: str | Path, normalization: str = "linear-magnitude") -> BeampatternGrid:
@@ -544,11 +554,11 @@ def grid_from_csv(path: str | Path, normalization: str = "linear-magnitude") -> 
     return BeampatternGrid(np.asarray(t_axis), theta, np.asarray(rows), normalization)
 
 
-def grid_to_binary(grid: BeampatternGrid, path: str | Path) -> Path:
+def grid_to_binary(grid: BeampatternGrid, path: str | Path, *, sha=None) -> Path:
     """Row-major float64 dump with a fixed header; returns the path.
 
     Header: 8-byte magic, uint32 N_t, uint32 N_theta, then float64 axis ranges
-    (t0, t1, theta0, theta1); values follow in row-major order.
+    (t0, t1, theta0, theta1); values follow in row-major order. sha as in write_csv.
     """
     path = Path(path)
     header = GRID_MAGIC + struct.pack(
@@ -556,8 +566,7 @@ def grid_to_binary(grid: BeampatternGrid, path: str | Path) -> Path:
         grid.t_axis[0], grid.t_axis[-1], grid.theta_axis[0], grid.theta_axis[-1],
     )
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(memoryview(np.ascontiguousarray(grid.values, dtype="<f8")))
+        fh.writelines(_hashing((header, memoryview(np.ascontiguousarray(grid.values, "<f8"))), sha))
     return path
 
 

@@ -23,6 +23,7 @@ import os
 import re
 import shutil
 import sys
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -324,27 +325,43 @@ def _parse_waveforms(sec: configparser.SectionProxy, config: ArrayConfig) -> lis
         raise ScenarioValidationError(f"waveforms: {exc}") from exc
 
 
-def _write_grids(grids: list[tuple[BeampatternGrid, str]], out: Path, formats) -> list[Path]:
-    """Write each (grid, stem) of one section in every requested format; returns the paths.
+def _hashed(write: Callable[..., Path], *args) -> dict[str, str]:
+    "Call write(*args, sha=...); returns {the written file's name: SHA-256 of the bytes written}."
+    sha = hashlib.sha256()
+    return {write(*args, sha=sha).name: sha.hexdigest()}
 
-    One worker thread writes every other CSV grid while this thread writes the rest and
-    every binary: numpy formatting and file writes release the GIL. The worker is joined here.
+
+def _write_text(path: Path, text: str) -> dict[str, str]:
+    "Write text as UTF-8; returns {path's name: SHA-256 of the bytes written}."
+    path.write_bytes(data := text.encode())
+    return {path.name: hashlib.sha256(data).hexdigest()}
+
+
+def _write_grids(grids: list[tuple[BeampatternGrid, str]], out: Path, formats) -> dict[str, str]:
+    """Write each (grid, stem) of one section in every requested format; returns the digests.
+
+    One worker thread writes and hashes every other file, CSVs first, and this thread the rest;
+    formatting, SHA-256 and writes release the GIL. Both end before this returns or raises.
     """
-    csv = [(grid, out / f"{stem}.csv") for grid, stem in grids if "csv" in formats]
-    binary = [(grid, out / f"{stem}.bin") for grid, stem in grids if "binary" in formats]
-    pool = contextlib.nullcontext()  # with one CSV grid, csv[1::2] submits nothing to it
-    if len(csv) > 1:  # imported only where a grid is shared, off the CLI's start-up path
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(1)
-    with pool:
-        shared = [pool.submit(grid_to_csv, grid, path) for grid, path in csv[1::2]]
-        for grid, path in csv[0::2]:
-            grid_to_csv(grid, path)
-        for grid, path in binary:
-            grid_to_binary(grid, path)
-        for done in shared:
-            done.result()
-    return [path for _, path in csv + binary]
+    files = [(write, grid, out / f"{stem}.{ext}") for fmt, ext, write in
+             (("csv", "csv", grid_to_csv), ("binary", "bin", grid_to_binary))
+             if fmt in formats for grid, stem in grids]
+    digests, failed = {}, []
+
+    def write_share(share: int) -> None:
+        try:
+            for write, grid, path in files[share::2]:
+                digests.update(_hashed(write, grid, path))
+        except BaseException as exc:  # raised below, once the worker is joined
+            failed.append(exc)
+
+    worker = threading.Thread(target=write_share, args=(1,))
+    worker.start()
+    write_share(0)
+    worker.join()
+    if failed:
+        raise failed[0]
+    return digests
 
 
 def _unique_tags(where: str, texts: list[str], tags: list[str], stem: str) -> list[str]:
@@ -385,14 +402,14 @@ def _parse_fitb_grid(sec: configparser.SectionProxy, sc: Scenario) -> dict:
     }
 
 
-def _run_fitb_grid(sc: Scenario, params: dict, out: Path) -> list[Path]:
+def _run_fitb_grid(sc: Scenario, params: dict, out: Path) -> dict[str, str]:
     grid = sweep_grid(sc.config, sc.plan, sc.weights, sc.waveforms,
                       n_time=params["n_time"], n_theta=params["n_theta"],
                       engine=params["engine"])
     written = _write_grids([(grid.to_db(), "fitb_grid_db"), (grid, "fitb_grid")], out,
                            sc.formats)
     if params["trajectory"]:
-        written.append(trajectory_to_csv(measure_peak_trajectory(grid), out / "trajectory.csv"))
+        written |= _hashed(trajectory_to_csv, measure_peak_trajectory(grid), out / "trajectory.csv")
     return written
 
 
@@ -416,13 +433,13 @@ def _parse_zero_time_cut(sec: configparser.SectionProxy, sc: Scenario) -> dict:
     }
 
 
-def _run_zero_time_cut(sc: Scenario, params: dict, out: Path) -> list[Path]:
-    written = []
+def _run_zero_time_cut(sc: Scenario, params: dict, out: Path) -> dict[str, str]:
+    written = {}
     theta = theta_grid(params["n_theta"])
     for tag, config in zip(params["tags"], params["configs"]):
         values = zero_time_cut(config, sc.plan.delta_f, theta)
-        written.append(write_csv(out / f"zero_time_cut_{tag}.csv", "theta_deg,value",
-                                 np.degrees(theta), values))
+        written |= _hashed(write_csv, out / f"zero_time_cut_{tag}.csv", "theta_deg,value",
+                           np.degrees(theta), values)
     return written
 
 
@@ -452,7 +469,7 @@ def _parse_legacy_grid(sec: configparser.SectionProxy, sc: Scenario) -> dict:
     }
 
 
-def _run_legacy_grid(sc: Scenario, params: dict, out: Path) -> list[Path]:
+def _run_legacy_grid(sc: Scenario, params: dict, out: Path) -> dict[str, str]:
     t_axis = params["t_axis"]
     first, *others = params["tags"]
     # the retarded-time grid does not depend on range: written once, copied for each other range
@@ -463,8 +480,9 @@ def _run_legacy_grid(sc: Scenario, params: dict, out: Path) -> list[Path]:
         grids.append((legacy_grid(sc.config, sc.plan.delta_f, r, t_axis, params["n_theta"]),
                       f"legacy_r{tag}"))
     written = _write_grids(grids, out, sc.formats)
-    return written + [shutil.copyfile(path, out / f"fitb_r{tag}{path.suffix}")
-                      for path in written if path.stem == f"fitb_r{first}" for tag in others]
+    return written | {shutil.copyfile(out / name, out / f"fitb_r{tag}{Path(name).suffix}").name:
+                      digest for name, digest in written.items()
+                      if Path(name).stem == f"fitb_r{first}" for tag in others}
 
 
 def _parse_offsets(sec: configparser.SectionProxy, sc: Scenario) -> dict:
@@ -485,34 +503,31 @@ def _parse_offsets(sec: configparser.SectionProxy, sc: Scenario) -> dict:
     }
 
 
-def _run_fgtb_curve(sc: Scenario, params: dict, out: Path) -> list[Path]:
-    written = []
+def _run_fgtb_curve(sc: Scenario, params: dict, out: Path) -> dict[str, str]:
+    written = {}
     theta = theta_grid(params["n_theta"])
     for off, tag in zip(params["offsets"], params["tags"]):
         plan = UniformPlan(off)
         values = fgtb(covariance(sc.waveforms, plan), sc.config, plan, sc.weights, theta)
-        written.append(curve_to_csv(theta, values, out / f"fgtb_df{tag}.csv"))
+        written |= _hashed(curve_to_csv, theta, values, out / f"fgtb_df{tag}.csv")
     return written
 
 
-def _run_mimo_compare(sc: Scenario, params: dict, out: Path) -> list[Path]:
-    written = []
+def _run_mimo_compare(sc: Scenario, params: dict, out: Path) -> dict[str, str]:
+    written = {}
     theta = theta_grid(params["n_theta"])
     report_lines = []
     for off, tag in zip(params["offsets"], params["tags"]):
         cmp = compare_fgtb_mimo(sc.config, UniformPlan(off), sc.waveforms, sc.weights, theta)
-        written.append(write_csv(out / f"mimo_compare_df{tag}.csv",
-                                 "theta_deg,fgtb_norm,mimo_norm", np.degrees(theta),
-                                 cmp.fgtb_normalized, cmp.mimo_normalized))
+        written |= _hashed(write_csv, out / f"mimo_compare_df{tag}.csv",
+                           "theta_deg,fgtb_norm,mimo_norm", np.degrees(theta),
+                           cmp.fgtb_normalized, cmp.mimo_normalized)
         status = "ok" if cmp.max_deviation < 0.05 else "DISCREPANCY"
         report_lines.append(
             f"offset_hz = {off:.10g} : max_deviation = {cmp.max_deviation:.6e} ({status}), "
             f"fgtb_peak = {cmp.fgtb_peak:.6e}, mimo_peak = {cmp.mimo_peak:.6e}"
         )
-    path = out / "mimo_compare_report.txt"
-    path.write_text("\n".join(report_lines) + "\n")
-    written.append(path)
-    return written
+    return written | _write_text(out / "mimo_compare_report.txt", "\n".join(report_lines) + "\n")
 
 
 def _parse_scan_report(sec: configparser.SectionProxy, sc: Scenario) -> dict:
@@ -520,11 +535,9 @@ def _parse_scan_report(sec: configparser.SectionProxy, sc: Scenario) -> dict:
             "k": _get(sec, "k", 0)}
 
 
-def _run_scan_report(sc: Scenario, params: dict, out: Path) -> list[Path]:
+def _run_scan_report(sc: Scenario, params: dict, out: Path) -> dict[str, str]:
     report = build_scan_report(sc.config, sc.plan.delta_f, params["t_eval"], params["k"])
-    path = out / "scan_report.txt"
-    path.write_text(report.as_text())
-    return [path]
+    return _write_text(out / "scan_report.txt", report.as_text())
 
 
 def _parse_segments(sec: configparser.SectionProxy) -> list:
@@ -555,17 +568,16 @@ def _parse_schedule(sec: configparser.SectionProxy, sc: Scenario) -> dict:
     return {"schedule": schedule, "n_theta": n_theta}
 
 
-def _run_schedule(sc: Scenario, params: dict, out: Path) -> list[Path]:
+def _run_schedule(sc: Scenario, params: dict, out: Path) -> dict[str, str]:
     schedule = params["schedule"]
     grid = schedule_playback_grid(sc.config, sc.plan.delta_f, schedule,
                                   sc.waveforms, sc.weights, params["n_theta"])
     written = _write_grids([(grid, "schedule_grid")], out, sc.formats)
-    written.append(trajectory_to_csv(measure_peak_trajectory(grid),
-                                     out / "schedule_trajectory.csv"))
-    written.append(write_csv(out / "schedule_phase.csv", "t_us,phi_cycles,target_theta_deg",
-                             schedule.t_grid * 1e6, schedule.phi,
-                             np.degrees(schedule.target_theta)))
-    return written
+    written |= _hashed(trajectory_to_csv, measure_peak_trajectory(grid),
+                       out / "schedule_trajectory.csv")
+    return written | _hashed(write_csv, out / "schedule_phase.csv",
+                             "t_us,phi_cycles,target_theta_deg", schedule.t_grid * 1e6,
+                             schedule.phi, np.degrees(schedule.target_theta))
 
 
 @dataclass(frozen=True)
@@ -574,7 +586,7 @@ class _Section:
 
     keys: tuple[str, ...]  # a trailing N stands for any decimal number
     parse: Callable[[configparser.SectionProxy, Scenario], dict]
-    run: Callable[[Scenario, dict, Path], list[Path]]
+    run: Callable[[Scenario, dict, Path], dict[str, str]]  # {artifact name: SHA-256}
     uniform: bool = False  # needs a uniform-offset plan
 
 
@@ -754,17 +766,12 @@ def execute_scenario(sc: Scenario, out_dir: str | Path | None = None) -> Path:
     except OSError as exc:
         raise ScenarioValidationError(f"output directory {out} is not writable: {exc}") from exc
 
-    written: list[Path] = []
+    digests: dict[str, str] = {}
     with _one_blas_thread():
         for kind, params in sc.evaluations:
-            written.extend(_SECTIONS[kind].run(sc, params, out))
+            digests |= _SECTIONS[kind].run(sc, params, out)
 
-    manifest = {
-        "scenario": sc.name,
-        "artifacts": {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(written)
-        },
-    }
+    manifest = {"scenario": sc.name, "artifacts": digests}  # digests of the bytes as written
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return out
 

@@ -115,11 +115,25 @@ class TestExecution:
                 "scan_report.txt", "manifest.json"} <= names
 
     def test_manifest_hashes_match(self, tmp_path):
-        out = run_scenario_text(SMALL_SCENARIO, tmp_path / "out")
+        # one scenario reaching every writer; the digests come from the bytes as they are
+        # written, so each is checked against the file read back
+        text = SMALL_SCENARIO + (
+            "\n[zero_time_cut]\nangle_samples = 64\n"
+            "\n[legacy_grid]\nranges = 18 km, 27 km\ntime_samples = 8\nangle_samples = 32\n"
+            "\n[fgtb_curve]\noffsets = 0, 100 kHz\nangle_samples = 64\n"
+            "\n[mimo_compare]\noffsets = 0, 1 MHz\nangle_samples = 64\n"
+            "\n[schedule]\nsegment1 = 0 us, 5 us, -20 deg, 20 deg\ntime_samples = 8\n"
+            "angle_samples = 16\n\n[outputs]\nformats = csv, binary\n")
+        out = run_scenario_text(text, tmp_path / "out")
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["scenario"] == "small"
-        for name, digest in manifest["artifacts"].items():
-            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        artifacts = manifest["artifacts"]
+        assert set(artifacts) == {p.name for p in out.iterdir()} - {"manifest.json"}
+        assert {"fitb_grid.bin", "trajectory.csv", "zero_time_cut_half_wavelength.csv",
+                "fitb_r27km.csv", "fitb_r27km.bin", "fgtb_df100kHz.csv", "mimo_compare_report.txt",
+                "scan_report.txt", "schedule_grid.bin", "schedule_phase.csv"} <= set(artifacts)
+        for name, digest in artifacts.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     def test_rerun_is_byte_identical(self, tmp_path):
         # seeded randomness and fixed formatting: identical artifacts on rerun
@@ -181,21 +195,26 @@ class TestExecution:
         assert np.abs(grid.values - want).max() <= 1e-8 * want.max()
 
     def test_section_grids_match_direct_writes(self, tmp_path, monkeypatch):
-        # a worker thread writes every other CSV grid of a section: the bytes must not show it
+        # a worker thread writes every other grid file of a section, CSVs first: the bytes
+        # must not show it
         threads, before = {}, threading.active_count()
 
-        def recording(grid, path, _write=cli.grid_to_csv):
-            threads[Path(path).name] = threading.get_ident()
-            return _write(grid, path)
+        def recording(write):
+            def record(grid, path, **kwargs):
+                threads[Path(path).name] = threading.get_ident()
+                return write(grid, path, **kwargs)
+            return record
 
-        monkeypatch.setattr(cli, "grid_to_csv", recording)
+        monkeypatch.setattr(cli, "grid_to_csv", recording(cli.grid_to_csv))
+        monkeypatch.setattr(cli, "grid_to_binary", recording(cli.grid_to_binary))
         text = SMALL_SCENARIO + ("\n[legacy_grid]\nranges = 18 km, 27 km\ntime_samples = 8\n"
                                  "angle_samples = 32\n\n[outputs]\nformats = csv, binary\n")
         sc = cli.load_scenario(text)
         out = cli.execute_scenario(sc, tmp_path / "out")
         assert threading.active_count() == before
         assert {name for name, ident in threads.items() if ident != threading.get_ident()} == {
-            "fitb_grid.csv", "legacy_r18km.csv"}
+            "fitb_grid.csv", "fitb_grid.bin", "legacy_r18km.csv", "fitb_r18km.bin",
+            "legacy_r27km.bin"}
         grid = fb.sweep_grid(sc.config, sc.plan, sc.weights, sc.waveforms, 16, 64)
         t_axis = dict(sc.evaluations)["legacy_grid"]["t_axis"]
         retarded = fb.sweep_grid(sc.config, sc.plan, sc.weights, sc.waveforms, t_axis.size, 32)
@@ -210,6 +229,25 @@ class TestExecution:
                             grid_to_binary(g, direct / f"{stem}.bin")):
                 assert (out / written.name).read_bytes() == written.read_bytes(), written.name
 
+    def test_writers_lose_no_digest_under_fast_switching(self, tmp_path):
+        # both writers add to one digest table: with the interpreter switching threads every
+        # microsecond, each of a many-grid section's files must still be listed, rightly
+        text = ("[array]\nelements = 8\ncarrier = 10 GHz\npulse = 5 us\n"
+                "[plan]\ntype = uniform\noffset = 100 kHz\n"
+                "[legacy_grid]\nranges = " + ", ".join(f"{r} km" for r in range(1, 9)) +
+                "\ntime_samples = 8\nangle_samples = 16\n[outputs]\nformats = csv, binary\n")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = run_scenario_text(text, tmp_path / "out")
+        finally:
+            sys.setswitchinterval(interval)
+        artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+        assert len(artifacts) == 2 * 16
+        assert set(artifacts) == {p.name for p in out.iterdir()} - {"manifest.json"}
+        for name, digest in artifacts.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
     @pytest.mark.parametrize("failing", ["fitb_grid.csv", "fitb_grid_db.csv"],
                              ids=["worker", "calling-thread"])
     def test_failing_writer_fails_the_run(self, tmp_path, capsys, monkeypatch, failing):
@@ -218,14 +256,14 @@ class TestExecution:
         # run that did not wait for it would leave its file short
         failed, before = threading.Event(), threading.active_count()
 
-        def writer(grid, path, _write=cli.grid_to_csv):
+        def writer(grid, path, _write=cli.grid_to_csv, **kwargs):
             if Path(path).name == failing:
                 Path(path).write_text("t_us,")
                 failed.set()
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
             assert failed.wait(10)
             time.sleep(0.2)
-            return _write(grid, path)
+            return _write(grid, path, **kwargs)
 
         monkeypatch.setattr(cli, "grid_to_csv", writer)
         path = tmp_path / "s.ini"

@@ -323,3 +323,88 @@ class TestScanReport:
         report = fb.build_scan_report(cfg, 200e3, t_eval=3e-6, k=0)
         assert report.peak_direction_pred is None
         assert "peak_direction_pred_deg = none" in report.as_text()
+
+
+class TestLargeOffsetRatio:
+    """The (f_c + delta_f) scan laws against an exact grid at delta_f/f_c = 0.2.
+
+    Two elements on a 4 MHz carrier with delta_f = 800 kHz and T_p = 1 us
+    (delta_f*T_p = 0.8). With two elements the laws are exact: the one element
+    pair's phase difference is 2*pi*(delta_f*t' + (f_c + delta_f)*d*sin(theta)/c),
+    so each row is 2|cos(a*(sin(theta) - s*))|, a = pi*(f_c + delta_f)*d/c, peaking
+    where the laws put s*. With f_c alone they would be 20% off here, where the
+    other tests' 10 GHz carrier and offsets up to 400 kHz leave 4e-5.
+
+    Tolerances come from the sine spacing h <= pi/N_theta of the azimuth samples.
+    The three-point parabola of measure_peak_trajectory is exact for a quadratic,
+    and the cosine's quartic term moves its vertex by at most a^2*h^3/24; the
+    checks allow a^2*h^3 for a refined peak, and h^2 for a peak left on the edge
+    sample, whose sine lies within h^2/8 of 1.
+    """
+
+    DELTA_F, N_THETA = 800e3, 1024
+    H = np.pi / N_THETA
+
+    def config(self, spacing_factor):
+        return make_config(self.DELTA_F, num_elements=2, carrier=4e6, pulse=1e-6,
+                           spacing_factor=spacing_factor)
+
+    def peak_tolerance(self, cfg):
+        a = np.pi * (cfg.carrier_freq + self.DELTA_F) * cfg.spacing / cfg.wave_speed
+        return a * a * self.H ** 3
+
+    def trajectory(self):
+        # half a wavelength at f_c + delta_f: the peaks repeat every 2 in sine, so each
+        # row has one peak in view and the track wraps once over the pulse
+        cfg = self.config(0.5)
+        grid = fb.sweep_grid(cfg, fb.UniformPlan(self.DELTA_F), fb.uniform_weights(2),
+                             fb.rect_pulse(cfg.pulse_duration), n_time=256, n_theta=self.N_THETA)
+        traj = fb.measure_peak_trajectory(grid)
+        assert not traj.ambiguous.any()
+        pred = np.array([fb.predict_peak_direction(cfg, self.DELTA_F, t, round(self.DELTA_F * t))
+                         for t in traj.t])
+        return cfg, traj, pred, np.abs(pred) <= np.radians(60.0)
+
+    def test_peak_direction(self):
+        cfg, traj, pred, inner = self.trajectory()
+        assert inner.sum() > 200
+        err = np.abs(np.sin(traj.theta) - np.sin(pred))[inner]
+        assert err.max() <= self.peak_tolerance(cfg)
+
+    def test_scan_speed(self):
+        # central differences of the measured track: the truncation term
+        # (v*dt)^2*(1 + 2s^2)/(6(1 - s^2)^2) of the rate, v = |ds/dt'|, plus the peak
+        # error over v*dt; twice their sum leaves room for higher orders
+        cfg, traj, _, inner = self.trajectory()
+        i = np.flatnonzero(inner[:-2] & inner[1:-1] & inner[2:]) + 1
+        dt = traj.t[1] - traj.t[0]
+        rate = (traj.theta[i + 1] - traj.theta[i - 1]) / (2 * dt)
+        speed = np.array([fb.scan_speed(cfg, self.DELTA_F, th) for th in traj.theta[i]])
+        s2 = np.sin(traj.theta[i]) ** 2
+        v_dt = cfg.wave_speed * self.DELTA_F / ((cfg.carrier_freq + self.DELTA_F)
+                                                * cfg.spacing) * dt
+        bound = v_dt ** 2 * (1 + 2 * s2) / (6 * (1 - s2) ** 2) + self.peak_tolerance(cfg) / v_dt
+        assert np.all(np.abs(rate / speed - 1) <= 2 * bound)
+
+    def test_scan_volume(self):
+        # every row's sine lies within h^2 of the straight unwrapped track, and a
+        # least-squares slope over the pulse moves by at most 3x that per T_p
+        cfg, traj, _, _ = self.trajectory()
+        measured = fb.measured_scan_volume(traj, cfg.pulse_duration)
+        assert abs(measured - fb.scan_volume(cfg, self.DELTA_F)[0]) <= 3 * self.H ** 2
+
+    def test_zero_time_peaks(self):
+        # 1.2 wavelengths at f_c + delta_f: the zero-time row shows the k = -1, 0, 1 peaks
+        cfg = self.config(1.2)
+        grid = fb.sweep_grid(cfg, fb.UniformPlan(self.DELTA_F), fb.uniform_weights(2),
+                             fb.rect_pulse(cfg.pulse_duration), n_time=2, n_theta=self.N_THETA)
+        row = grid.values[0]
+        measured = []
+        for j in range(1, self.N_THETA - 1):
+            if row[j - 1] < row[j] >= row[j + 1]:
+                cut = fb.BeampatternGrid(grid.t_axis[:1], grid.theta_axis[j - 1:j + 2],
+                                         grid.values[:1, j - 1:j + 2])
+                measured.append(fb.measure_peak_trajectory(cut).theta[0])
+        peaks = zero_time_peaks(cfg, self.DELTA_F)
+        assert len(peaks) == len(measured) == 3
+        assert np.abs(np.sin(measured) - np.sin(peaks)).max() <= self.peak_tolerance(cfg)
