@@ -103,13 +103,21 @@ MUTANTS = (
     ("csv-point-on-integral-values", "beampattern_instant.py",
      "p = np.where((keep > whole) & (e >= 0), whole, 16)", "p = np.where(e >= 0, whole, 16)"),
     # artifact digests that disagree with the bytes written
+    ("sink-hashes-first-chunk-only", "beampattern_instant.py",
+     "            sha.update(chunk)\n",
+     "            if not fh.tell():\n                sha.update(chunk)\n"),
+    # a header written to the file outside the sink, so its digest covers the rest only
     ("csv-digest-skips-header", "beampattern_instant.py",
-     'fh.writelines(_hashing([header.encode() + b"\\n"], sha))',
-     'fh.write(header.encode() + b"\\n")'),
+     '    return write_chunks(path, itertools.chain([header.encode() + b"\\n"], blocks))\n',
+     "    digest = write_chunks(path, blocks)\n"
+     '    Path(path).write_bytes(header.encode() + b"\\n" + Path(path).read_bytes())\n'
+     "    return digest\n"),
     ("binary-digest-skips-header", "beampattern_instant.py",
-     'fh.writelines(_hashing((header, memoryview(np.ascontiguousarray(grid.values, "<f8"))), sha))',
-     'fh.write(header)\n'
-     '        fh.writelines(_hashing((memoryview(np.ascontiguousarray(grid.values, "<f8")),), sha))'),
+     "    return write_chunks(path, (header, "
+     'memoryview(np.ascontiguousarray(grid.values, "<f8"))))\n',
+     '    digest = write_chunks(path, (memoryview(np.ascontiguousarray(grid.values, "<f8")),))\n'
+     "    Path(path).write_bytes(header + Path(path).read_bytes())\n"
+     "    return digest\n"),
     ("legacy-copy-takes-wrong-digest", "cli.py",
      "                      digest for name, digest in written.items()",
      '                      written[f"legacy_r{tag}{Path(name).suffix}"]'

@@ -27,11 +27,13 @@ values are field magnitudes up to a positive constant.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -506,40 +508,38 @@ def _csv_lines(table: np.ndarray) -> bytes:
     return raw[raw != 0].tobytes()  # each cell's NUL padding goes
 
 
-def _hashing(chunks, sha):
-    "Yield each bytes-like chunk after updating sha, a hashlib object or None, with it."
-    for chunk in chunks:
-        if sha is not None:
+def write_chunks(path: str | Path, chunks: Iterable) -> str:
+    "Write bytes-like chunks to path in order; returns the SHA-256 hex digest of the bytes written."
+    sha = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
             sha.update(chunk)
-        yield chunk
+            fh.write(chunk)
+    return sha.hexdigest()
 
 
-def write_csv(path: str | Path, header: str, *columns, sha=None) -> Path:
-    """Write a header line, then 1-D columns and 2-D blocks side by side as CSV; returns the path.
+def write_csv(path: str | Path, header: str, *columns) -> str:
+    """Write a header line, then 1-D columns and 2-D blocks side by side as CSV.
 
-    Every cell is the bytes '%.10g' % v gives, and the file ends with a newline. A hashlib
-    object given as sha is updated with every byte written, as it is written.
+    Every cell is the bytes '%.10g' % v gives, and the file ends with a newline. Returns the
+    SHA-256 hex digest of the bytes written.
     """
-    path = Path(path)
     width = sum(np.shape(c)[1] if np.ndim(c) == 2 else 1 for c in columns)
     step = max(1, _CSV_CELLS // width)
     blocks = (_csv_lines(np.column_stack([c[start:start + step] for c in columns]))
               for start in range(0, max(map(len, columns)), step))  # unequal lengths fail a stack
-    with open(path, "wb") as fh:
-        fh.writelines(_hashing([header.encode() + b"\n"], sha))
-        fh.writelines(_hashing(blocks, sha))
-    return path
+    return write_chunks(path, itertools.chain([header.encode() + b"\n"], blocks))
 
 
-def grid_to_csv(grid: BeampatternGrid, path: str | Path, *, sha=None) -> Path:
+def grid_to_csv(grid: BeampatternGrid, path: str | Path) -> str:
     """Write a grid as CSV: header row of theta in degrees, first column t in us.
 
     Cell values are dB or linear magnitudes according to the grid's
-    normalization tag. sha is updated as by write_csv.
+    normalization tag. Returns the digest as write_csv does.
     """
     theta_deg = np.degrees(grid.theta_axis)
     header = "t_us," + _csv_lines(theta_deg[None, :]).decode()[:-1]
-    return write_csv(path, header, grid.t_axis * 1e6, grid.values, sha=sha)
+    return write_csv(path, header, grid.t_axis * 1e6, grid.values)
 
 
 def grid_from_csv(path: str | Path, normalization: str = "linear-magnitude") -> BeampatternGrid:
@@ -554,20 +554,17 @@ def grid_from_csv(path: str | Path, normalization: str = "linear-magnitude") -> 
     return BeampatternGrid(np.asarray(t_axis), theta, np.asarray(rows), normalization)
 
 
-def grid_to_binary(grid: BeampatternGrid, path: str | Path, *, sha=None) -> Path:
-    """Row-major float64 dump with a fixed header; returns the path.
+def grid_to_binary(grid: BeampatternGrid, path: str | Path) -> str:
+    """Row-major float64 dump with a fixed header; returns the SHA-256 hex digest of the bytes.
 
     Header: 8-byte magic, uint32 N_t, uint32 N_theta, then float64 axis ranges
-    (t0, t1, theta0, theta1); values follow in row-major order. sha as in write_csv.
+    (t0, t1, theta0, theta1); values follow in row-major order.
     """
-    path = Path(path)
     header = GRID_MAGIC + struct.pack(
         "<II4d", grid.t_axis.size, grid.theta_axis.size,
         grid.t_axis[0], grid.t_axis[-1], grid.theta_axis[0], grid.theta_axis[-1],
     )
-    with open(path, "wb") as fh:
-        fh.writelines(_hashing((header, memoryview(np.ascontiguousarray(grid.values, "<f8"))), sha))
-    return path
+    return write_chunks(path, (header, memoryview(np.ascontiguousarray(grid.values, "<f8"))))
 
 
 def grid_from_binary(path: str | Path, normalization: str = "linear-magnitude") -> BeampatternGrid:

@@ -215,9 +215,9 @@ def compare_fgtb_mimo(config: ArrayConfig, plan: UniformPlan,
     )
 
 
-def curve_to_csv(theta: np.ndarray, values: np.ndarray, path: str | Path, *, sha=None) -> Path:
-    "Two-column CSV (theta_deg, value_dB) of a power-like azimuth curve, 10*log10 rel. peak."
+def curve_to_csv(theta: np.ndarray, values: np.ndarray, path: str | Path) -> str:
+    "CSV (theta_deg, value_dB): 10*log10 of a power-like curve rel. peak; returns the digest."
     values = np.asarray(values, dtype=float)
     return write_csv(path, "theta_deg,value_db", np.degrees(theta),
-                     10.0 * np.log10(values / values.max()), sha=sha)
+                     10.0 * np.log10(values / values.max()))
 

@@ -16,7 +16,6 @@ import configparser
 import contextlib
 import ctypes
 import functools
-import hashlib
 import json
 import math
 import os
@@ -51,6 +50,7 @@ from .beampattern_instant import (
     legacy_grid,
     sweep_grid,
     theta_grid,
+    write_chunks,
     write_csv,
     zero_time_cut,
 )
@@ -325,18 +325,6 @@ def _parse_waveforms(sec: configparser.SectionProxy, config: ArrayConfig) -> lis
         raise ScenarioValidationError(f"waveforms: {exc}") from exc
 
 
-def _hashed(write: Callable[..., Path], *args) -> dict[str, str]:
-    "Call write(*args, sha=...); returns {the written file's name: SHA-256 of the bytes written}."
-    sha = hashlib.sha256()
-    return {write(*args, sha=sha).name: sha.hexdigest()}
-
-
-def _write_text(path: Path, text: str) -> dict[str, str]:
-    "Write text as UTF-8; returns {path's name: SHA-256 of the bytes written}."
-    path.write_bytes(data := text.encode())
-    return {path.name: hashlib.sha256(data).hexdigest()}
-
-
 def _write_grids(grids: list[tuple[BeampatternGrid, str]], out: Path, formats) -> dict[str, str]:
     """Write each (grid, stem) of one section in every requested format; returns the digests.
 
@@ -351,7 +339,7 @@ def _write_grids(grids: list[tuple[BeampatternGrid, str]], out: Path, formats) -
     def write_share(share: int) -> None:
         try:
             for write, grid, path in files[share::2]:
-                digests.update(_hashed(write, grid, path))
+                digests[path.name] = write(grid, path)
         except BaseException as exc:  # raised below, once the worker is joined
             failed.append(exc)
 
@@ -409,7 +397,8 @@ def _run_fitb_grid(sc: Scenario, params: dict, out: Path) -> dict[str, str]:
     written = _write_grids([(grid.to_db(), "fitb_grid_db"), (grid, "fitb_grid")], out,
                            sc.formats)
     if params["trajectory"]:
-        written |= _hashed(trajectory_to_csv, measure_peak_trajectory(grid), out / "trajectory.csv")
+        written["trajectory.csv"] = trajectory_to_csv(measure_peak_trajectory(grid),
+                                                      out / "trajectory.csv")
     return written
 
 
@@ -438,8 +427,8 @@ def _run_zero_time_cut(sc: Scenario, params: dict, out: Path) -> dict[str, str]:
     theta = theta_grid(params["n_theta"])
     for tag, config in zip(params["tags"], params["configs"]):
         values = zero_time_cut(config, sc.plan.delta_f, theta)
-        written |= _hashed(write_csv, out / f"zero_time_cut_{tag}.csv", "theta_deg,value",
-                           np.degrees(theta), values)
+        name = f"zero_time_cut_{tag}.csv"
+        written[name] = write_csv(out / name, "theta_deg,value", np.degrees(theta), values)
     return written
 
 
@@ -509,7 +498,7 @@ def _run_fgtb_curve(sc: Scenario, params: dict, out: Path) -> dict[str, str]:
     for off, tag in zip(params["offsets"], params["tags"]):
         plan = UniformPlan(off)
         values = fgtb(covariance(sc.waveforms, plan), sc.config, plan, sc.weights, theta)
-        written |= _hashed(curve_to_csv, theta, values, out / f"fgtb_df{tag}.csv")
+        written[f"fgtb_df{tag}.csv"] = curve_to_csv(theta, values, out / f"fgtb_df{tag}.csv")
     return written
 
 
@@ -519,15 +508,16 @@ def _run_mimo_compare(sc: Scenario, params: dict, out: Path) -> dict[str, str]:
     report_lines = []
     for off, tag in zip(params["offsets"], params["tags"]):
         cmp = compare_fgtb_mimo(sc.config, UniformPlan(off), sc.waveforms, sc.weights, theta)
-        written |= _hashed(write_csv, out / f"mimo_compare_df{tag}.csv",
-                           "theta_deg,fgtb_norm,mimo_norm", np.degrees(theta),
-                           cmp.fgtb_normalized, cmp.mimo_normalized)
+        name = f"mimo_compare_df{tag}.csv"
+        written[name] = write_csv(out / name, "theta_deg,fgtb_norm,mimo_norm", np.degrees(theta),
+                                  cmp.fgtb_normalized, cmp.mimo_normalized)
         status = "ok" if cmp.max_deviation < 0.05 else "DISCREPANCY"
         report_lines.append(
             f"offset_hz = {off:.10g} : max_deviation = {cmp.max_deviation:.6e} ({status}), "
             f"fgtb_peak = {cmp.fgtb_peak:.6e}, mimo_peak = {cmp.mimo_peak:.6e}"
         )
-    return written | _write_text(out / "mimo_compare_report.txt", "\n".join(report_lines) + "\n")
+    name = "mimo_compare_report.txt"
+    return written | {name: write_chunks(out / name, ["\n".join(report_lines).encode() + b"\n"])}
 
 
 def _parse_scan_report(sec: configparser.SectionProxy, sc: Scenario) -> dict:
@@ -537,7 +527,7 @@ def _parse_scan_report(sec: configparser.SectionProxy, sc: Scenario) -> dict:
 
 def _run_scan_report(sc: Scenario, params: dict, out: Path) -> dict[str, str]:
     report = build_scan_report(sc.config, sc.plan.delta_f, params["t_eval"], params["k"])
-    return _write_text(out / "scan_report.txt", report.as_text())
+    return {"scan_report.txt": write_chunks(out / "scan_report.txt", [report.as_text().encode()])}
 
 
 def _parse_segments(sec: configparser.SectionProxy) -> list:
@@ -573,11 +563,12 @@ def _run_schedule(sc: Scenario, params: dict, out: Path) -> dict[str, str]:
     grid = schedule_playback_grid(sc.config, sc.plan.delta_f, schedule,
                                   sc.waveforms, sc.weights, params["n_theta"])
     written = _write_grids([(grid, "schedule_grid")], out, sc.formats)
-    written |= _hashed(trajectory_to_csv, measure_peak_trajectory(grid),
-                       out / "schedule_trajectory.csv")
-    return written | _hashed(write_csv, out / "schedule_phase.csv",
-                             "t_us,phi_cycles,target_theta_deg", schedule.t_grid * 1e6,
-                             schedule.phi, np.degrees(schedule.target_theta))
+    written["schedule_trajectory.csv"] = trajectory_to_csv(measure_peak_trajectory(grid),
+                                                           out / "schedule_trajectory.csv")
+    written["schedule_phase.csv"] = write_csv(
+        out / "schedule_phase.csv", "t_us,phi_cycles,target_theta_deg", schedule.t_grid * 1e6,
+        schedule.phi, np.degrees(schedule.target_theta))
+    return written
 
 
 @dataclass(frozen=True)

@@ -318,8 +318,7 @@ def schedule_playback_grid(config: ArrayConfig, delta_f: float,
     return BeampatternGrid(schedule.t_grid, th_axis, values, "linear-magnitude")
 
 
-def trajectory_to_csv(traj: PeakTrajectory, path: str | Path, *, sha=None) -> Path:
-    "Two-column CSV (t_us, theta_deg); ambiguous rows are skipped. sha is updated as by write_csv."
+def trajectory_to_csv(traj: PeakTrajectory, path: str | Path) -> str:
+    "Two-column CSV (t_us, theta_deg); ambiguous rows are skipped. Returns write_csv's digest."
     keep = ~traj.ambiguous
-    return write_csv(path, "t_us,theta_deg", traj.t[keep] * 1e6, np.degrees(traj.theta[keep]),
-                     sha=sha)
+    return write_csv(path, "t_us,theta_deg", traj.t[keep] * 1e6, np.degrees(traj.theta[keep]))

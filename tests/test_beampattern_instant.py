@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from fdabeam.beampattern_instant import (
     grid_from_csv,
     grid_to_binary,
     grid_to_csv,
+    write_chunks,
     write_csv,
 )
 
@@ -476,7 +478,8 @@ class TestBeampatternGrid:
         grid = fb.sweep_grid(cfg200k, fb.UniformPlan(200e3), fb.uniform_weights(M), rect,
                              n_time=8, n_theta=16)
         path = tmp_path / "grid.bin"
-        grid_to_binary(grid, path)
+        digest = grid_to_binary(grid, path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
         back = grid_from_binary(path)
         assert np.array_equal(back.values, grid.values)
         assert back.t_axis[0] == grid.t_axis[0]
@@ -484,7 +487,10 @@ class TestBeampatternGrid:
 
 
 def test_csv_artifact_text(tmp_path):
-    "Exact text of every CSV writer: %.10g cells, one header line, trailing newline."
+    """Exact text of every CSV writer: %.10g cells, one header line, trailing newline.
+
+    Each writer, and the sink the text reports go through, returns the SHA-256 of that file.
+    """
     from fdabeam.beampattern_integral import curve_to_csv
     from fdabeam.scan_analytics import trajectory_to_csv
 
@@ -500,11 +506,14 @@ def test_csv_artifact_text(tmp_path):
         "curve_db": (lambda p: curve_to_csv(theta, values, p),
                      "theta_deg,value_db\n-30,-6.020599913\n0,0\n30,-7.781512504\n"),
         "trajectory": (lambda p: trajectory_to_csv(traj, p), "t_us,theta_deg\n0,10\n2,-5.5\n"),
+        "report": (lambda p: write_chunks(p, [b"offset_hz = 0 : ok\n", b"k = 1\n"]),
+                   "offset_hz = 0 : ok\nk = 1\n"),
     }
     for name, (write, expected) in writers.items():
         path = tmp_path / f"{name}.csv"
-        write(path)
+        digest = write(path)
         assert path.read_text() == expected, name
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest(), name
 
 
 def _percent_rows(table) -> bytes:
@@ -557,7 +566,8 @@ def test_write_csv_matches_percent_rows(tmp_path, shape):
     t = np.linspace(0.0, 5.0, shape[0])
     block = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 12, shape)
     columns = (t, block) if shape[1] else (t,)
-    path = write_csv(tmp_path / "t.csv", "a,b", *columns)
+    path = tmp_path / "t.csv"
+    write_csv(path, "a,b", *columns)
     assert path.read_bytes() == b"a,b\n" + _percent_rows(np.column_stack(columns))
 
 
@@ -584,4 +594,5 @@ def test_preset_grids_match_percent_rows(tmp_path, preset, section):
     for g in (grid, grid.to_db()):
         header = "t_us," + _percent_rows(np.degrees(g.theta_axis)[None, :]).decode()
         expected = header.encode() + _percent_rows(np.column_stack((g.t_axis * 1e6, g.values)))
-        assert grid_to_csv(g, tmp_path / "g.csv").read_bytes() == expected
+        grid_to_csv(g, tmp_path / "g.csv")
+        assert (tmp_path / "g.csv").read_bytes() == expected

@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -114,9 +115,26 @@ class TestExecution:
         assert {"fitb_grid.csv", "fitb_grid_db.csv", "trajectory.csv",
                 "scan_report.txt", "manifest.json"} <= names
 
-    def test_manifest_hashes_match(self, tmp_path):
+    def test_manifest_hashes_match(self, tmp_path, monkeypatch):
         # one scenario reaching every writer; the digests come from the bytes as they are
-        # written, so each is checked against the file read back
+        # written, so each is checked against the file read back. The benchmark's tracer wraps
+        # the writers below as attributes of cli and sizes the file named by their path
+        # argument, so each must be called through cli with a path the manifest lists
+        paths = {}
+
+        def recording(name):
+            write = getattr(cli, name)
+            signature = inspect.signature(write)
+
+            def record(*args, **kwargs):
+                path = signature.bind(*args, **kwargs).arguments["path"]
+                paths.setdefault(name, []).append(Path(path))
+                return write(*args, **kwargs)
+            return record
+
+        writers = ("grid_to_csv", "grid_to_binary", "curve_to_csv", "trajectory_to_csv")
+        for name in writers:
+            monkeypatch.setattr(cli, name, recording(name))
         text = SMALL_SCENARIO + (
             "\n[zero_time_cut]\nangle_samples = 64\n"
             "\n[legacy_grid]\nranges = 18 km, 27 km\ntime_samples = 8\nangle_samples = 32\n"
@@ -134,6 +152,10 @@ class TestExecution:
                 "scan_report.txt", "schedule_grid.bin", "schedule_phase.csv"} <= set(artifacts)
         for name, digest in artifacts.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        assert set(paths) == set(writers)
+        for name, written in paths.items():
+            for path in written:
+                assert path.parent == out and path.name in artifacts, (name, path)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         # seeded randomness and fixed formatting: identical artifacts on rerun
@@ -225,9 +247,10 @@ class TestExecution:
         direct = tmp_path / "direct"
         direct.mkdir()
         for stem, g in want.items():
-            for written in (grid_to_csv(g, direct / f"{stem}.csv"),
-                            grid_to_binary(g, direct / f"{stem}.bin")):
-                assert (out / written.name).read_bytes() == written.read_bytes(), written.name
+            grid_to_csv(g, direct / f"{stem}.csv")
+            grid_to_binary(g, direct / f"{stem}.bin")
+            for name in (f"{stem}.csv", f"{stem}.bin"):
+                assert (out / name).read_bytes() == (direct / name).read_bytes(), name
 
     def test_writers_lose_no_digest_under_fast_switching(self, tmp_path):
         # both writers add to one digest table: with the interpreter switching threads every
@@ -278,9 +301,8 @@ class TestExecution:
         sc = cli.load_scenario(SMALL_SCENARIO)
         grid = fb.sweep_grid(sc.config, sc.plan, sc.weights, sc.waveforms, 16, 64)
         other = ({"fitb_grid.csv", "fitb_grid_db.csv"} - {failing}).pop()
-        direct = grid_to_csv(grid if other == "fitb_grid.csv" else grid.to_db(),
-                             tmp_path / other)
-        assert (tmp_path / "out" / other).read_bytes() == direct.read_bytes()
+        grid_to_csv(grid if other == "fitb_grid.csv" else grid.to_db(), tmp_path / other)
+        assert (tmp_path / "out" / other).read_bytes() == (tmp_path / other).read_bytes()
 
     def test_out_env_override(self, tmp_path, monkeypatch):
         # the output directory is --out or [outputs] directory; no environment variable overrides it
@@ -572,7 +594,8 @@ class TestMainVerbs:
         "[fitb_grid]\ntime_samples = 8\nangle_samples = 16\n[outputs]\nformats = binary\n",
     ], ids=["one-csv-grid", "binary-only"])
     def test_unshared_sections_load_no_thread_pool(self, tmp_path, section):
-        # a section with at most one CSV grid shares none, so it leaves the writer's pool unloaded
+        # a section's second writer is a plain threading.Thread, and a uniform plan reaches
+        # no time-modulated kernel, so these sections leave concurrent.futures unloaded
         text = ("[array]\nelements = 8\ncarrier = 10 GHz\npulse = 5 us\n"
                 "[plan]\ntype = uniform\noffset = 100 kHz\n" + section)
         run = (f"fdabeam.cli.execute_scenario(fdabeam.cli.load_scenario({text!r}), "
