@@ -2,11 +2,13 @@
 """Mutation audit: does the test suite fail on each of a fixed set of single-site faults?
 
 Each mutant in MUTANTS names a file under src/fdabeam, an exact text that must
-occur in it exactly once, and the text that replaces it.  For every mutant the
-script copies src/, tests/ and pyproject.toml into a fresh temporary directory,
-applies the edit there, runs the suite with ``-x`` and prints "killed" (the
-suite failed) or "SURVIVED".  The working tree is never modified.  The
-unmutated copy runs first: if it fails, no verdict would mean anything.
+occur in it exactly once, and the text that replaces it.  Every selected
+mutant's text is checked first, and all stale entries are listed together
+before any suite runs.  For every mutant the script copies src/, tests/ and
+pyproject.toml into a fresh temporary directory, applies the edit there, runs
+the suite with ``-x`` and prints "killed" (the suite failed) or "SURVIVED".
+The working tree is never modified.  The unmutated copy runs first: if it
+fails, no verdict would mean anything.
 
 It is not part of the test suite.  A full pass runs the suite once more than
 there are mutants: on a 2-core Xeon, about 28 s per survivor and 4-30 s per
@@ -55,19 +57,10 @@ MUTANTS = (
      "for k in range(-k_max, k_max + 1))", "for k in range(-k_max, k_max))"),
     ("ambiguity-threshold-0.3", "scan_analytics.py",
      "values[rows, j] < 0.5 * ref", "values[rows, j] < 0.3 * ref"),
-    # the paper's (f_c + delta_f) denominators, each with f_c alone
-    ("peak-direction-carrier-only", "scan_analytics.py",
-     "t_prime) / (\n        (config.carrier_freq + delta_f) * config.spacing\n",
-     "t_prime) / (\n        config.carrier_freq * config.spacing\n"),
-    ("scan-speed-carrier-only", "scan_analytics.py",
-     "(config.carrier_freq + delta_f) * config.spacing * math.cos(theta)",
-     "config.carrier_freq * config.spacing * math.cos(theta)"),
-    ("scan-volume-carrier-only", "scan_analytics.py",
-     "config.pulse_duration / (\n        (config.carrier_freq + delta_f) * config.spacing\n",
-     "config.pulse_duration / (\n        config.carrier_freq * config.spacing\n"),
-    ("zero-time-peaks-carrier-only", "scan_analytics.py",
-     "unit = config.wave_speed / ((config.carrier_freq + delta_f) * config.spacing)",
-     "unit = config.wave_speed / (config.carrier_freq * config.spacing)"),
+    # the paper's (f_c + delta_f) in the grating step every scan law scales, with f_c alone
+    ("grating-step-carrier-only", "scan_analytics.py",
+     "return config.wave_speed / ((config.carrier_freq + delta_f) * config.spacing)",
+     "return config.wave_speed / (config.carrier_freq * config.spacing)"),
     ("chi-at-retarded-time", "beampattern_instant.py",
      "plan.chi(mi, tau, out=cycles)", "plan.chi(mi, times, out=cycles)"),
     ("row-start-without-element-0", "beampattern_instant.py",
@@ -91,11 +84,10 @@ MUTANTS = (
      "cycles = plan.chi(index[1:, None], t_prime[start:stop, None, None] + 0 * tau) * tau"),
     ("legacy-without-range-term", "beampattern_instant.py",
      "        - delta_f * r / config.wave_speed\n", ""),
+    # the Dirichlet form's carrier term, shared by the legacy and the closed form
     ("closed-form-carrier-only", "beampattern_instant.py",
-     "+ (config.carrier_freq + delta_f) * config.spacing * np.sin(theta) / config.wave_speed\n"
-     "    )\n    return dirichlet_magnitude(ups",
-     "+ config.carrier_freq * config.spacing * np.sin(theta) / config.wave_speed\n"
-     "    )\n    return dirichlet_magnitude(ups"),
+     "+ (config.carrier_freq + delta_f) * config.spacing * np.sin(theta) / config.wave_speed\n",
+     "+ config.carrier_freq * config.spacing * np.sin(theta) / config.wave_speed\n"),
     ("csv-tie-guard-off", "beampattern_instant.py",
      " & (np.abs(np.abs(m - r) - 0.5) >= 1e-5)", ""),
     ("csv-fixed-range-to-e10", "beampattern_instant.py",
@@ -144,7 +136,10 @@ MUTANTS = (
     ("skip-empty-formats-check", "cli.py",
      "        if not fmts:", "        if False:"),
     ("chirp-rate-overflow-uncaught", "cli.py",
-     '        raise ScenarioValidationError(f"waveforms: {exc}") from exc', "        raise"),
+     '    with _invalid("waveforms"):', "    with contextlib.nullcontext():"),
+    ("validation-error-without-where", "cli.py",
+     'raise ScenarioValidationError(f"{where}: {exc}") from exc',
+     "raise ScenarioValidationError(str(exc)) from exc"),
     ("non-utf-8-uncaught", "cli.py",
      "    except UnicodeDecodeError as exc:", "    except LookupError as exc:"),
     ("worker-result-not-read", "cli.py",
@@ -155,6 +150,11 @@ MUTANTS = (
      "    worker = threading.Thread(",
      "    from concurrent.futures import ThreadPoolExecutor  # noqa: F401\n"
      "    worker = threading.Thread("),
+    # preset texts that no longer make their figure's claim
+    ("preset-fig5b-steered-to-50-deg", "presets.py",
+     '"steered\\nangle = 60 deg"', '"steered\\nangle = 50 deg"'),
+    ("preset-fig3d-offset-300-khz", "presets.py",
+     '_fitb("fig3 400 kHz", "400 kHz")', '_fitb("fig3 400 kHz", "300 kHz")'),
 )
 
 
@@ -165,13 +165,20 @@ def _copy_tree(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
+def _stale(table: dict, names) -> list[str]:
+    "One line for each named mutant whose text does not occur exactly once in its file."
+    lines = []
+    for name in names:
+        filename, old, _ = table[name]
+        count = (ROOT / "src" / "fdabeam" / filename).read_text().count(old)
+        if count != 1:
+            lines.append(f"{name}: text occurs {count} times in {filename}, not once: {old!r}")
+    return lines
+
+
 def _mutate(dest: Path, filename: str, old: str, new: str) -> None:
     path = dest / "src" / "fdabeam" / filename
-    text = path.read_text()
-    if text.count(old) != 1:
-        raise SystemExit(f"mutant text occurs {text.count(old)} times in {filename}, "
-                         f"not once: {old!r}")
-    path.write_text(text.replace(old, new))
+    path.write_text(path.read_text().replace(old, new))
 
 
 def _suite_passes(dest: Path) -> bool:
@@ -193,6 +200,11 @@ def main() -> int:
     unknown = [name for name in args.names if name not in table]
     if unknown:
         parser.error(f"unknown mutant(s): {', '.join(unknown)}")
+    names = args.names or list(table)
+    stale = _stale(table, names)
+    if stale:
+        print("stale mutant(s), fix before any suite runs:", *stale, sep="\n", file=sys.stderr)
+        return 1
 
     with tempfile.TemporaryDirectory(prefix="fdabeam-mutant-") as tmp:
         base = Path(tmp) / "unmutated"
@@ -201,7 +213,7 @@ def main() -> int:
             print("the unmutated suite fails; no verdict is possible", file=sys.stderr)
             return 1
         survivors = 0
-        for name in args.names or table:
+        for name in names:
             start = time.perf_counter()
             work = Path(tmp) / "mutant"
             shutil.rmtree(work, ignore_errors=True)

@@ -1,15 +1,14 @@
 """Instantaneous transmit beampattern engines.
 
-Three evaluators of the transmit array factor as a function of retarded time
-t' = t - r/c and azimuth theta:
+Two evaluators of the transmit array factor:
 
 * ``exact_field_matrix`` sums the exact per-element phases on a grid of
-  time and azimuth samples (the oracle all closed forms are judged against),
-* ``fitb_closed_form`` is the Dirichlet-kernel closed form valid for uniform
-  frequency offsets,
-* ``legacy_array_factor`` is the older range-and-time form kept only to
-  demonstrate its range dependence is an artifact of ignoring the pulse
-  window.
+  retarded time t' = t - r/c and azimuth theta (the oracle all closed forms
+  are judged against),
+* ``legacy_array_factor`` is the Dirichlet-kernel form of the older
+  literature in time t and range r, kept to demonstrate that its range
+  dependence is an artifact of ignoring the pulse window.  At r = 0 it is the
+  uniform-offset closed form in t', ``fitb_closed_form``.
 
 Element m's phases have one definition, shared with the integral pattern:
 2*pi*delta_f_m*t' (``array_model.steering_time``) plus
@@ -369,15 +368,10 @@ def dirichlet_magnitude(ups: np.ndarray, num_elements: int) -> np.ndarray:
 def fitb_closed_form(config: ArrayConfig, delta_f: float, t_prime, theta) -> np.ndarray:
     """Closed-form instantaneous beampattern for a uniform frequency offset.
 
-    |sin(M*Y)/sin(Y)| with Y = pi*(delta_f*t' + (f_c+delta_f)*d*sin(theta)/c).
+    |sin(M*Y)/sin(Y)| with Y = pi*(delta_f*t' + (f_c+delta_f)*d*sin(theta)/c): the
+    legacy form at r = 0, where delta_f*t' - 0.0 is delta_f*t' bit for bit.
     """
-    t_prime = np.asarray(t_prime, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    ups = np.pi * (
-        delta_f * t_prime
-        + (config.carrier_freq + delta_f) * config.spacing * np.sin(theta) / config.wave_speed
-    )
-    return dirichlet_magnitude(ups, config.num_elements)
+    return legacy_array_factor(config, delta_f, t_prime, 0.0, theta)
 
 
 def zero_time_cut(config: ArrayConfig, delta_f: float, theta) -> np.ndarray:
@@ -396,12 +390,12 @@ def legacy_array_factor(config: ArrayConfig, delta_f: float, t, r, theta) -> np.
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    xi = (
+    ups = np.pi * (
         delta_f * t
         - delta_f * r / config.wave_speed
         + (config.carrier_freq + delta_f) * config.spacing * np.sin(theta) / config.wave_speed
     )
-    return dirichlet_magnitude(np.pi * xi, config.num_elements)
+    return dirichlet_magnitude(ups, config.num_elements)
 
 
 def sweep_grid(config: ArrayConfig, plan: FrequencyPlan,

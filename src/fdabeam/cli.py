@@ -86,6 +86,15 @@ class ScenarioValidationError(Exception):
     "Semantic problem: values parse but contradict the model or the environment."
 
 
+@contextlib.contextmanager
+def _invalid(where: str):
+    "Report a ValueError the block raises as a validation error of where."
+    try:
+        yield
+    except ValueError as exc:
+        raise ScenarioValidationError(f"{where}: {exc}") from exc
+
+
 _UNIT_SCALE = {
     "hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9,
     "s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9,
@@ -266,13 +275,9 @@ def _parse_plan(sec: configparser.SectionProxy, num_elements: int,
         coding_name = sec.get("coding", "").strip().lower()
         scale = parse_quantity(sec.get("offset", "0"), "plan.offset")
         seed = _get(sec, "seed", default_seed)
-        if coding_name == "random" and seed is None:
-            raise ScenarioValidationError("plan: random coding requires a seed")
-        try:
-            coding = FoCoding(scheme=coding_name, scale=scale, seed=seed)
-            offsets = generate_offsets(coding, num_elements)
-        except ValueError as exc:
-            raise ScenarioValidationError(f"plan: {exc}") from exc
+        with _invalid("plan"):
+            offsets = generate_offsets(FoCoding(scheme=coding_name, scale=scale, seed=seed),
+                                       num_elements)
         return TabulatedPlan(offsets=tuple(offsets))
     if kind == "tabulated":
         offsets = [parse_quantity(v, "plan.offsets") for v in _parse_list(sec.get("offsets", ""))]
@@ -280,14 +285,12 @@ def _parse_plan(sec: configparser.SectionProxy, num_elements: int,
             raise ScenarioValidationError(
                 f"plan: {len(offsets)} tabulated offsets for {num_elements} elements")
         return TabulatedPlan(offsets=tuple(offsets))
-    try:
+    with _invalid("plan"):
         return TimeModulatedPlan(
             form=sec.get("form", "sqrt").strip().lower(),
             rate=parse_quantity(sec.get("rate", "0"), "plan.rate"),
             time_scale=parse_quantity(sec.get("time_scale", "1 us"), "plan.time_scale"),
         )
-    except ValueError as exc:
-        raise ScenarioValidationError(f"plan: {exc}") from exc
 
 
 def _parse_weights(sec: configparser.SectionProxy, config: ArrayConfig,
@@ -299,30 +302,24 @@ def _parse_weights(sec: configparser.SectionProxy, config: ArrayConfig,
         if "angle" not in sec:
             raise ScenarioParseError("weights: steered weights need an angle")
         angle = parse_angle(sec["angle"], "weights.angle")
-        try:
+        with _invalid("weights"):
             return steered_weights(config, plan, angle)
-        except ValueError as exc:
-            raise ScenarioValidationError(f"weights: {exc}") from exc
     seed = _get(sec, "seed", default_seed)
     if seed is None:
         raise ScenarioValidationError("weights: random weights require a seed")
-    try:
+    with _invalid("weights"):
         return random_unimodular_weights(config.num_elements, seed)
-    except ValueError as exc:
-        raise ScenarioValidationError(f"weights: {exc}") from exc
 
 
 def _parse_waveforms(sec: configparser.SectionProxy, config: ArrayConfig) -> list:
     if _kind(sec) == "rect":
         return [rect_pulse(config.pulse_duration)] * config.num_elements
-    try:  # finite rate numbers can still overflow once divided by T_p^2
+    with _invalid("waveforms"):  # finite rate numbers can still overflow once divided by T_p^2
         return make_chirp_bank(
             config,
             base_rate_num=_get(sec, "base_rate", 100.0, "float"),
             rate_step=_get(sec, "rate_step", 10.0, "float"),
         )
-    except ValueError as exc:
-        raise ScenarioValidationError(f"waveforms: {exc}") from exc
 
 
 def _write_grids(grids: list[tuple[BeampatternGrid, str]], out: Path, formats) -> dict[str, str]:
@@ -364,7 +361,7 @@ def _unique_tags(where: str, texts: list[str], tags: list[str], stem: str) -> li
 
 
 # Evaluation sections: a parser (section, scenario so far) -> params, called at
-# load time, and a runner (scenario, params, out) -> written paths. Both look
+# load time, and a runner (scenario, params, out) -> {artifact name: SHA-256}. Both look
 # the engine functions up as module globals at call time, so that wrappers set
 # on this module's attributes (timing instrumentation) see every call.
 
@@ -408,10 +405,8 @@ def _parse_zero_time_cut(sec: configparser.SectionProxy, sc: Scenario) -> dict:
     configs = []
     for tok in tokens:
         spacing = _resolve_spacing(tok, sc.config, sc.plan, "zero_time_cut.spacings")
-        try:
+        with _invalid(f"zero_time_cut.spacings: {tok!r}"):
             configs.append(replace(sc.config, spacing=spacing))
-        except ValueError as exc:
-            raise ScenarioValidationError(f"zero_time_cut.spacings: {tok!r}: {exc}") from exc
     return {
         "n_theta": _samples(sec, "angle_samples", 4096, sc.config.num_elements),
         "configs": configs,
@@ -551,10 +546,8 @@ def _parse_schedule(sec: configparser.SectionProxy, sc: Scenario) -> dict:
     segments = _parse_segments(sec)
     n_time = _samples(sec, "time_samples", 512, sc.config.num_elements)
     n_theta = _samples(sec, "angle_samples", 1024, n_time, sc.config.num_elements)
-    try:
+    with _invalid("schedule"):
         schedule = design_phase_schedule(sc.config, sc.plan.delta_f, segments, n_time)
-    except ValueError as exc:
-        raise ScenarioValidationError(f"schedule: {exc}") from exc
     return {"schedule": schedule, "n_theta": n_theta}
 
 
@@ -643,7 +636,7 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
 
     num_elements = _get(arr, "elements", None)
     _check_cells("array.elements", f"{num_elements} elements", num_elements)
-    try:
+    with _invalid("array"):
         config = ArrayConfig(
             num_elements=num_elements,
             carrier_freq=parse_quantity(arr["carrier"], "array.carrier"),
@@ -656,8 +649,6 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
             _check_element_frequencies("array", config, plan)
         config = replace(config, spacing=_resolve_spacing(
             arr.get("spacing", "half-wavelength"), config, plan, "array.spacing"))
-    except ValueError as exc:
-        raise ScenarioValidationError(f"array: {exc}") from exc
     if isinstance(plan, TimeModulatedPlan):
         _check_time_modulated(config, plan)
 

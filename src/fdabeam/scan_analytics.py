@@ -28,6 +28,11 @@ class EndfireSingularityError(ValueError):
     "Raised when an analytic form is evaluated too close to +-90 degrees."
 
 
+def _grating_step(config: ArrayConfig, delta_f: float) -> float:
+    "Sine-domain step between grating orders, c/((f_c+delta_f)*d); every law below scales it."
+    return config.wave_speed / ((config.carrier_freq + delta_f) * config.spacing)
+
+
 def predict_peak_direction(config: ArrayConfig, delta_f: float, t_prime: float,
                            k: int = 0) -> float | None:
     """Predicted mainlobe direction at t' for grating index k, or None.
@@ -35,9 +40,7 @@ def predict_peak_direction(config: ArrayConfig, delta_f: float, t_prime: float,
     theta = asin((c*k - c*delta_f*t') / ((f_c+delta_f)*d)); None when the
     argument falls outside [-1, 1] (that grating order is not visible).
     """
-    arg = (config.wave_speed * k - config.wave_speed * delta_f * t_prime) / (
-        (config.carrier_freq + delta_f) * config.spacing
-    )
+    arg = (k - delta_f * t_prime) * _grating_step(config, delta_f)
     if abs(arg) > 1.0:
         return None
     return math.asin(arg)
@@ -51,9 +54,7 @@ def scan_speed(config: ArrayConfig, delta_f: float, theta: float) -> float:
     """
     if abs(theta) >= np.pi / 2 - ENDFIRE_GUARD:
         raise EndfireSingularityError(f"scan speed diverges at theta={theta} rad")
-    return -config.wave_speed * delta_f / (
-        (config.carrier_freq + delta_f) * config.spacing * math.cos(theta)
-    )
+    return -delta_f * _grating_step(config, delta_f) / math.cos(theta)
 
 
 def beamwidth(config: ArrayConfig, delta_f: float, theta_peak: float = 0.0) -> tuple[float, float]:
@@ -64,9 +65,7 @@ def beamwidth(config: ArrayConfig, delta_f: float, theta_peak: float = 0.0) -> t
     """
     if abs(theta_peak) >= np.pi / 2 - ENDFIRE_GUARD:
         raise EndfireSingularityError(f"beamwidth diverges at theta={theta_peak} rad")
-    width_sine = config.wave_speed / (
-        config.num_elements * (config.carrier_freq + delta_f) * config.spacing
-    )
+    width_sine = _grating_step(config, delta_f) / config.num_elements
     return width_sine, width_sine / math.cos(theta_peak)
 
 
@@ -76,15 +75,13 @@ def scan_volume(config: ArrayConfig, delta_f: float) -> tuple[float, float]:
     Exact form c*delta_f*T_p / ((f_c+delta_f)*d).  A value of 2.0 means the
     whole visible sector is swept exactly once.
     """
-    exact = config.wave_speed * delta_f * config.pulse_duration / (
-        (config.carrier_freq + delta_f) * config.spacing
-    )
+    exact = delta_f * config.pulse_duration * _grating_step(config, delta_f)
     return exact, 2.0 * delta_f * config.pulse_duration
 
 
 def first_null(config: ArrayConfig, delta_f: float) -> float | None:
     "First null of the zero-time cut, asin(c/(M*(f_c+delta_f)*d)), or None if none is visible."
-    arg = config.wave_speed / (config.num_elements * (config.carrier_freq + delta_f) * config.spacing)
+    arg = _grating_step(config, delta_f) / config.num_elements
     if arg > 1.0:
         return None
     return math.asin(arg)
@@ -92,7 +89,7 @@ def first_null(config: ArrayConfig, delta_f: float) -> float | None:
 
 def zero_time_peaks(config: ArrayConfig, delta_f: float) -> tuple[float, ...]:
     "All visible zero-time peak directions asin(k*c/((f_c+delta_f)*d)), sorted."
-    unit = config.wave_speed / ((config.carrier_freq + delta_f) * config.spacing)
+    unit = _grating_step(config, delta_f)
     k_max = int(math.floor(1.0 / unit))
     return tuple(math.asin(k * unit) for k in range(-k_max, k_max + 1))
 

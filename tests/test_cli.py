@@ -528,6 +528,15 @@ class TestMainVerbs:
         # 1e300 / (5 us)^2 overflows to an infinite chirp rate
         ("[waveforms]\nkind = chirp-bank\nbase_rate = 1e300\n[fitb_grid]\n",
          "waveforms: chirp_rate must be finite, got inf"),
+        ("[waveforms]\nkind = chirp-bank\nrate_step = 1e300\n[fitb_grid]\n",
+         "waveforms: chirp_rate must be finite, got inf"),
+        ("[plan]\ntype = coded\ncoding = random\noffset = 1 kHz\n[fitb_grid]\n",
+         "plan: random FO coding requires a seed"),
+        ("[array]\nelements = 17\ncarrier = 10 GHz\npulse = 5 us\n"
+         "[plan]\ntype = coded\ncoding = costas\noffset = 5 kHz\n[fitb_grid]\n",
+         "plan: Costas table of length 16 cannot cover 17 elements"),
+        ("[plan]\noffset = 100 kHz\n[weights]\ntype = steered\nangle = 95 deg\n[fitb_grid]\n",
+         "weights: steering angle"),
     ], ids=["tabulated-scan-report", "coded-zero-time-cut", "time-modulated-legacy-grid",
             "tabulated-schedule", "segment-beyond-pulse", "negative-weight-seed",
             "coded-closed-form", "steered-closed-form", "chirp-bank-closed-form",
@@ -546,7 +555,8 @@ class TestMainVerbs:
             "legacy-range-beyond-axis", "rect-base-rate", "rect-rate-step",
             "uniform-weights-angle", "random-weights-angle", "uniform-plan-form",
             "default-plan-rate", "tabulated-plan-seed", "time-modulated-plan-offset",
-            "preset-weights-angle", "chirp-rate-overflow"])
+            "preset-weights-angle", "chirp-rate-overflow", "chirp-rate-step-overflow",
+            "coded-random-without-seed", "costas-beyond-16-elements", "steered-beyond-90-deg"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, verb, body, expected):
         # a body without its own [array] section runs on an 8-element array
         path = tmp_path / "s.ini"
@@ -643,25 +653,65 @@ class TestBlasThreads:
         assert blas_threads() == 2
 
 
+@pytest.fixture(scope="module")
+def preset_runs(tmp_path_factory):
+    "Every preset run once: {name: (output directory, seconds taken)}."
+    root = tmp_path_factory.mktemp("presets")
+    runs = {}
+    for name, (_, text) in PRESETS.items():
+        start = time.perf_counter()
+        out = run_scenario_text(text, root / name)
+        runs[name] = out, time.perf_counter() - start
+    return runs
+
+
+# The claim each preset's description makes, read back from its trajectory.csv:
+# the swept sine sector over the pulse, 2*delta_f*T_p at half a reference wavelength,
+# or the direction of the t' = 0 mainlobe in degrees.
+PRESET_CLAIMS = {
+    "fig3a": ("scan volume", 0.1),  # limited coverage
+    "fig3b": ("scan volume", 0.3),
+    "fig3c": ("scan volume", 2.0),  # the full sector once
+    "fig3d": ("scan volume", 4.0),  # the full sector twice
+    "fig3e": ("scan volume", 0.0),  # no scan
+    "fig5a": ("zero-time peak", 0.0),
+    "fig5b": ("zero-time peak", 60.0),
+}
+
+
 class TestPresetContents:
-    def test_all_presets_execute_within_budget(self, tmp_path):
-        for name, (_, text) in PRESETS.items():
-            start = time.perf_counter()
-            out = run_scenario_text(text, tmp_path / name)
-            elapsed = time.perf_counter() - start
+    def test_all_presets_execute_within_budget(self, preset_runs):
+        for name, (out, elapsed) in preset_runs.items():
             assert elapsed < 60.0, f"{name} took {elapsed:.1f}s"
             assert (out / "manifest.json").exists(), name
 
-    def test_fig3c_trajectory_spans_sector_once(self, tmp_path):
-        import fdabeam as fb
+    @pytest.mark.parametrize("name", PRESET_CLAIMS)
+    def test_preset_artifacts_hold_their_claim(self, preset_runs, name):
+        """Tolerances come from the sine spacing h <= pi/N_theta of the azimuth samples.
 
-        out = run_scenario_text(PRESETS["fig3c"][1], tmp_path)
-        rows = (out / "trajectory.csv").read_text().strip().splitlines()[1:]
-        t = np.array([float(r.split(",")[0]) for r in rows]) * 1e-6
-        theta = np.radians([float(r.split(",")[1]) for r in rows])
-        traj = fb.PeakTrajectory(t=t, theta=theta, ambiguous=np.zeros(len(t), dtype=bool))
-        coverage = fb.measured_scan_volume(traj, 5e-6)
-        assert coverage == pytest.approx(2.0, rel=0.05)
+        A row's true peak lies within one sample of its argmax, and the refined peak
+        inside that same three-sample window, so each measured sine is within 2h of the
+        track.  A per-row error of at most 2h moves a least-squares slope over times t
+        by at most 2h*sum|t - mean(t)|/sum((t - mean(t))^2).  Rows beyond 60 degrees
+        are left out: there a mainlobe crossing the +-90 degree edge peaks out of view.
+        """
+        claim, expected = PRESET_CLAIMS[name]
+        out, _ = preset_runs[name]
+        sc = cli.load_scenario(PRESETS[name][1])
+        h = np.pi / dict(sc.evaluations)["fitb_grid"]["n_theta"]
+        t_us, theta_deg = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1).T
+        theta = np.radians(theta_deg)
+        if claim == "zero-time peak":
+            assert t_us[0] == 0.0
+            assert abs(np.sin(theta[0]) - np.sin(np.radians(expected))) <= 2 * h
+            return
+        traj = fb.PeakTrajectory(t=t_us * 1e-6, theta=theta,
+                                 ambiguous=np.abs(theta) > np.radians(60.0))
+        t, _ = fb.unwrap_sine_track(traj)
+        dev = t - t.mean()
+        bound = 2 * h * np.abs(dev).sum() / (dev * dev).sum() * sc.config.pulse_duration
+        assert fb.measured_scan_volume(traj, sc.config.pulse_duration) == pytest.approx(
+            expected, abs=bound)
 
     def test_fig8_emits_four_curves(self, tmp_path):
         out = run_scenario_text(PRESETS["fig8"][1], tmp_path)
