@@ -55,6 +55,8 @@ MUTANTS = (
      "fit = np.zeros(s_peak.shape, dtype=bool)"),
     ("zero-time-peaks-last-order", "scan_analytics.py",
      "for k in range(-k_max, k_max + 1))", "for k in range(-k_max, k_max))"),
+    ("grating-index-is-highest-order", "scan_analytics.py",
+     "        grating_index=k,\n", "        grating_index=(len(peaks) - 1) // 2,\n"),
     ("ambiguity-threshold-0.3", "scan_analytics.py",
      "values[rows, j] < 0.5 * ref", "values[rows, j] < 0.3 * ref"),
     # the paper's (f_c + delta_f) in the grating step every scan law scales, with f_c alone
@@ -134,7 +136,7 @@ MUTANTS = (
     ("blas-scope-keeps-previous-count", "cli.py",
      "    set_(1)\n", "    set_(previous)\n"),
     ("skip-empty-formats-check", "cli.py",
-     "        if not fmts:", "        if False:"),
+     "        if not formats:", "        if False:"),
     ("chirp-rate-overflow-uncaught", "cli.py",
      '    with _invalid("waveforms"):', "    with contextlib.nullcontext():"),
     ("validation-error-without-where", "cli.py",

@@ -20,10 +20,10 @@ def main() -> int:
 
     root = Path(args.out)
     failures = 0
-    for name, desc in presets.preset_descriptions():
+    for name, (desc, text) in presets.PRESETS.items():
         start = time.perf_counter()
         try:
-            sc = cli.load_scenario(presets.preset_text(name))
+            sc = cli.load_scenario(text)
             cli.execute_scenario(sc, root / name)
         except Exception as exc:  # keep going; report at the end
             print(f"{name:8s} FAILED: {exc}", file=sys.stderr)

@@ -175,14 +175,13 @@ def plan_offsets(plan: FrequencyPlan, num_elements: int) -> np.ndarray:
 
 
 def reference_wavelength(config: ArrayConfig, plan: FrequencyPlan) -> float:
-    """Reference wavelength lambda_0 = c / (f_c + (M-1)*delta_f).
+    """Reference wavelength lambda_0 that half-wavelength spacing halves.
 
-    Defined for uniform plans only; the highest element frequency sets the
-    wavelength used for half-wavelength spacing.
+    For a uniform plan the highest element frequency sets it,
+    c / (f_c + (M-1)*delta_f); for every other plan it is c / f_c.
     """
-    if not isinstance(plan, UniformPlan):
-        raise UnsupportedPlanError("reference wavelength is defined for uniform plans only")
-    return config.wave_speed / (config.carrier_freq + (config.num_elements - 1) * plan.delta_f)
+    top = (config.num_elements - 1) * plan.delta_f if isinstance(plan, UniformPlan) else 0.0
+    return config.wave_speed / (config.carrier_freq + top)
 
 
 def steering_time(config: ArrayConfig, plan: FrequencyPlan, t_prime) -> np.ndarray:

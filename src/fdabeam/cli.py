@@ -18,7 +18,6 @@ import ctypes
 import functools
 import json
 import math
-import os
 import re
 import shutil
 import sys
@@ -221,27 +220,23 @@ class Scenario:
     waveforms: list
     evaluations: list[tuple[str, dict]] = field(default_factory=list)
     formats: tuple[str, ...] = ("csv",)
-    out_dir: str = "out"
 
 
 _WAVELENGTHS = {"half-wavelength": 0.5, "wavelength": 1.0}
 
 
 def _resolve_spacing(token: str, config: ArrayConfig, plan: FrequencyPlan, where: str) -> float:
-    "A length, or a multiple of lambda_0: the reference wavelength, c/f_c for non-uniform plans."
+    "A length, or a multiple of the reference wavelength lambda_0."
     token = token.strip().lower()
     if token not in _WAVELENGTHS:
         return parse_quantity(token, where)
-    if isinstance(plan, UniformPlan):
-        return _WAVELENGTHS[token] * reference_wavelength(config, plan)
-    return _WAVELENGTHS[token] * (config.wave_speed / config.carrier_freq)
+    return _WAVELENGTHS[token] * reference_wavelength(config, plan)
 
 
 def _preset_text(name: str) -> str:
-    try:
-        return presets_mod.preset_text(name)
-    except KeyError as exc:
-        raise ScenarioValidationError(exc.args[0]) from exc
+    if name not in presets_mod.PRESETS:
+        raise ScenarioValidationError(f"unknown preset {name!r}")
+    return presets_mod.PRESETS[name][1]
 
 
 # setup sections that select a kind: (selecting key, default kind, {kind: other keys it reads})
@@ -266,15 +261,14 @@ def _kind(sec: configparser.SectionProxy) -> str:
     return kind
 
 
-def _parse_plan(sec: configparser.SectionProxy, num_elements: int,
-                default_seed: int | None) -> FrequencyPlan:
+def _parse_plan(sec: configparser.SectionProxy, num_elements: int) -> FrequencyPlan:
     kind = _kind(sec)
     if kind == "uniform":
         return UniformPlan(parse_quantity(sec.get("offset", "0"), "plan.offset"))
     if kind == "coded":
         coding_name = sec.get("coding", "").strip().lower()
         scale = parse_quantity(sec.get("offset", "0"), "plan.offset")
-        seed = _get(sec, "seed", default_seed)
+        seed = _get(sec, "seed", None)
         with _invalid("plan"):
             offsets = generate_offsets(FoCoding(scheme=coding_name, scale=scale, seed=seed),
                                        num_elements)
@@ -294,7 +288,7 @@ def _parse_plan(sec: configparser.SectionProxy, num_elements: int,
 
 
 def _parse_weights(sec: configparser.SectionProxy, config: ArrayConfig,
-                   plan: FrequencyPlan, default_seed: int | None) -> np.ndarray:
+                   plan: FrequencyPlan) -> np.ndarray:
     kind = _kind(sec)
     if kind == "uniform":
         return uniform_weights(config.num_elements)
@@ -304,7 +298,7 @@ def _parse_weights(sec: configparser.SectionProxy, config: ArrayConfig,
         angle = parse_angle(sec["angle"], "weights.angle")
         with _invalid("weights"):
             return steered_weights(config, plan, angle)
-    seed = _get(sec, "seed", default_seed)
+    seed = _get(sec, "seed", None)
     if seed is None:
         raise ScenarioValidationError("weights: random weights require a seed")
     with _invalid("weights"):
@@ -366,10 +360,10 @@ def _unique_tags(where: str, texts: list[str], tags: list[str], stem: str) -> li
 # on this module's attributes (timing instrumentation) see every call.
 
 def _parse_fitb_grid(sec: configparser.SectionProxy, sc: Scenario) -> dict:
-    engine = sec.get("engine", "exact").strip().lower().replace("-", "_")
-    if engine not in ("exact", "closed_form"):
+    engine = sec.get("engine", "exact").strip().lower()
+    if engine not in ("exact", "closed-form"):
         raise ScenarioParseError(f"fitb_grid: unknown engine {engine!r}")
-    if engine == "closed_form":
+    if engine == "closed-form":
         # the Dirichlet form assumes a uniform plan, unit weights and rect pulses
         if not isinstance(sc.plan, UniformPlan):
             raise ScenarioValidationError("fitb_grid: the closed-form engine needs a uniform plan")
@@ -382,7 +376,7 @@ def _parse_fitb_grid(sec: configparser.SectionProxy, sc: Scenario) -> dict:
     return {
         "n_time": n_time,
         "n_theta": _samples(sec, "angle_samples", 1024, n_time, sc.config.num_elements),
-        "engine": engine,
+        "engine": engine.replace("-", "_"),  # sweep_grid's spelling
         "trajectory": _get(sec, "trajectory", False, "boolean"),
     }
 
@@ -590,14 +584,14 @@ _SECTIONS: dict[str, _Section] = {
 }
 # setup sections and the keys each reads
 _SETUP_SECTIONS: dict[str, tuple[str, ...]] = {
-    "scenario": ("preset", "name", "seed"),
+    "scenario": ("preset", "name"),
     "array": ("elements", "carrier", "pulse", "spacing", "wave_speed"),
     **{name: (selector, *sum(reads.values(), ())) for name, (selector, _, reads) in _KINDS.items()},
-    "outputs": ("directory", "formats"),
+    "outputs": ("formats",),
 }
 
 
-def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
+def load_scenario(text: str) -> Scenario:
     "Parse and semantically validate a scenario file body."
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -628,11 +622,7 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
         if key not in arr:
             raise ScenarioParseError(f"array: missing required key {key!r}")
 
-    seed = None
-    name = "scenario"
-    if parser.has_section("scenario"):
-        name = parser["scenario"].get("name", name)
-        seed = _get(parser["scenario"], "seed", None)
+    name = parser.get("scenario", "name", fallback="scenario")
 
     num_elements = _get(arr, "elements", None)
     _check_cells("array.elements", f"{num_elements} elements", num_elements)
@@ -644,7 +634,7 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
             pulse_duration=parse_quantity(arr["pulse"], "array.pulse"),
             wave_speed=parse_quantity(arr.get("wave_speed", "3e8"), "array.wave_speed"),
         )
-        plan = _parse_plan(parser["plan"], num_elements, seed)
+        plan = _parse_plan(parser["plan"], num_elements)
         if not isinstance(plan, TimeModulatedPlan):
             _check_element_frequencies("array", config, plan)
         config = replace(config, spacing=_resolve_spacing(
@@ -652,26 +642,20 @@ def load_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     if isinstance(plan, TimeModulatedPlan):
         _check_time_modulated(config, plan)
 
-    weights = _parse_weights(parser["weights"], config, plan, seed)
+    weights = _parse_weights(parser["weights"], config, plan)
     waveforms = _parse_waveforms(parser["waveforms"], config)
 
     formats = ("csv",)
-    out_dir = "out"
     if parser.has_section("outputs"):
-        sec = parser["outputs"]
-        out_dir = sec.get("directory", out_dir)
-        fmts = tuple(v.lower() for v in _parse_list(sec.get("formats", "csv")))
-        if not fmts:
+        formats = tuple(v.lower() for v in _parse_list(parser["outputs"].get("formats", "csv")))
+        if not formats:
             raise ScenarioParseError("outputs: formats lists no format (csv, binary)")
-        for fmt in fmts:
+        for fmt in formats:
             if fmt not in ("csv", "binary"):
                 raise ScenarioParseError(f"outputs: unknown format {fmt!r}")
-        formats = fmts
-    if base_dir is not None and not os.path.isabs(out_dir):
-        out_dir = str(base_dir / out_dir)
 
     sc = Scenario(name=name, config=config, plan=plan, weights=weights,
-                  waveforms=waveforms, formats=formats, out_dir=out_dir)
+                  waveforms=waveforms, formats=formats)
     for kind, spec in _SECTIONS.items():
         if not parser.has_section(kind):
             continue
@@ -737,9 +721,9 @@ def _one_blas_thread():
         set_(previous)
 
 
-def execute_scenario(sc: Scenario, out_dir: str | Path | None = None) -> Path:
-    "Run every evaluation, write artifacts and the hash manifest; returns the output dir."
-    out = Path(out_dir or sc.out_dir)
+def execute_scenario(sc: Scenario, out_dir: str | Path) -> Path:
+    "Run every evaluation, write artifacts and the hash manifest into out_dir; returns it."
+    out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write_probe"
@@ -758,11 +742,10 @@ def execute_scenario(sc: Scenario, out_dir: str | Path | None = None) -> Path:
     return out
 
 
-def _load_checked(source: str, read: Callable[[], str],
-                  base_dir: Path | None = None) -> Scenario | int:
+def _load_checked(source: str, read: Callable[[], str]) -> Scenario | int:
     "The scenario read() returns, or the exit code after a one-line report of why it failed."
     try:
-        return load_scenario(read(), base_dir=base_dir)
+        return load_scenario(read())
     except OSError as exc:
         print(f"error: cannot read {source}: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -777,7 +760,7 @@ def _load_checked(source: str, read: Callable[[], str],
         return EXIT_VALIDATION
 
 
-def _execute_checked(sc: Scenario, out_dir: str | None, label: str) -> int:
+def _execute_checked(sc: Scenario, out_dir: str | Path, label: str) -> int:
     try:
         out = execute_scenario(sc, out_dir)
     except ScenarioValidationError as exc:
@@ -802,11 +785,12 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="run a scenario file")
     p_run.add_argument("file")
-    p_run.add_argument("--out", default=None, help="output directory override")
+    p_run.add_argument("--out", default=None,
+                       help="output directory (default: out/ beside the file)")
 
     p_preset = sub.add_parser("preset", help="run a bundled preset")
     p_preset.add_argument("name")
-    p_preset.add_argument("--out", default=None, help="output directory override")
+    p_preset.add_argument("--out", default=None, help="output directory (default: out/<name>)")
     p_preset.add_argument("--show", action="store_true", help="print the scenario text and exit")
 
     sub.add_parser("list-presets", help="list bundled presets")
@@ -817,7 +801,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list-presets":
-        for name, desc in presets_mod.preset_descriptions():
+        for name, (desc, _) in presets_mod.PRESETS.items():
             print(f"{name:10s} {desc}")
         return 0
 
@@ -829,16 +813,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.show:
             print(_preset_text(args.name), end="")
             return 0
-        return _execute_checked(sc, args.out or os.path.join("out", args.name), label=source)
+        return _execute_checked(sc, args.out or Path("out", args.name), label=source)
 
     path = Path(args.file)
-    sc = _load_checked(str(path), lambda: path.read_text(encoding="utf-8"), base_dir=path.parent)
+    sc = _load_checked(str(path), lambda: path.read_text(encoding="utf-8"))
     if isinstance(sc, int):
         return sc
     if args.command == "validate":
         print(f"{path}: ok")
         return 0
-    return _execute_checked(sc, args.out, label=str(path))
+    return _execute_checked(sc, args.out or path.parent / "out", label=str(path))
 
 if __name__ == "__main__":
     sys.exit(main())

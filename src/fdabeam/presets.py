@@ -73,13 +73,3 @@ PRESETS: dict[str, tuple[str, str]] = {
     "fig9b": ("integral-vs-MIMO overlap, 40 elements, random unimodular weights",
               _fig9("fig9b", "random\nseed = 20230902")),
 }
-
-
-def preset_text(name: str) -> str:
-    if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}")
-    return PRESETS[name][1]
-
-
-def preset_descriptions() -> list[tuple[str, str]]:
-    return [(name, desc) for name, (desc, _) in PRESETS.items()]

@@ -147,7 +147,7 @@ def build_scan_report(config: ArrayConfig, delta_f: float,
         scan_volume_approx=vol_approx,
         first_null=first_null(config, delta_f),
         zero_time_peaks=peaks,
-        grating_index=(len(peaks) - 1) // 2,
+        grating_index=k,
     )
 
 

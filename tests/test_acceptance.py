@@ -15,6 +15,7 @@ from scipy.optimize import brentq
 import fdabeam as fb
 from fdabeam import cli
 from fdabeam.beampattern_instant import exact_field_matrix
+from fdabeam.presets import PRESETS
 
 from conftest import make_config
 from test_beampattern_integral import fgtb_direct_oracle
@@ -129,7 +130,7 @@ def test_criterion_04_initial_mainlobe_direction():
 
 
 def test_criterion_05_range_independence(tmp_path):
-    sc = cli.load_scenario(cli.presets_mod.preset_text("fig6"))
+    sc = cli.load_scenario(PRESETS["fig6"][1])
     out = cli.execute_scenario(sc, tmp_path)
 
     # retarded-time grids carry no range dependence: byte-identical artifacts

@@ -47,10 +47,14 @@ class TestReferenceWavelength:
                              pulse_duration=5e-6)
         assert fb.reference_wavelength(cfg, fb.UniformPlan(1e6)) == pytest.approx(0.03)
 
-    def test_non_uniform_plan_rejected(self):
+    @pytest.mark.parametrize("plan", [
+        fb.TabulatedPlan(offsets=tuple(1e6 * np.arange(16.0))),
+        fb.TimeModulatedPlan(form="sqrt", rate=1e6),
+    ], ids=["tabulated", "time-modulated"])
+    def test_non_uniform_plan_is_carrier_wavelength(self, plan):
+        # only a uniform plan's top element frequency shortens lambda_0
         cfg = make_config(0.0)
-        with pytest.raises(fb.UnsupportedPlanError):
-            fb.reference_wavelength(cfg, fb.TabulatedPlan(offsets=tuple(range(16))))
+        assert fb.reference_wavelength(cfg, plan) == 3e8 / 1e10
 
 
 class TestSteeringVectors:

@@ -196,6 +196,23 @@ class TestFieldExact:
         product, _ = _product_rows(cfg200k, fb.TimeModulatedPlan("sinh", 60e3, 1e-6), t)
         assert product[:300].all() and not product[-100:].any()
 
+    def test_grid_of_loop_rows_only(self):
+        # sinh 100 kHz / 0.5 us spreads past TM_SPREAD_CAP on every row from 4 us: no row
+        # takes the product, so no interpolation order is chosen and the loop fills the grid
+        cfg = make_config(0.0)
+        plan = fb.TimeModulatedPlan("sinh", 100e3, 0.5e-6)
+        t = np.linspace(4e-6, 5e-6, 33)
+        product, order = _product_rows(cfg, plan, t)
+        assert not product.any() and order == 0
+        bank = fb.make_chirp_bank(cfg)
+        theta = fb.theta_grid(N_THETA)
+        w_t = fb.random_unimodular_weights(t.size * M, seed=6).reshape(t.size, M)
+        got = exact_field_matrix(cfg, plan, w_t, bank, t, theta)
+        rng = np.random.default_rng(7)
+        for i, j in zip(rng.integers(0, t.size, 24), rng.integers(0, theta.size, 24)):
+            want = time_modulated_oracle(cfg, plan, w_t[i], bank, t[i], theta[j])
+            assert got[i, j] == pytest.approx(want, rel=1e-10), (i, j)
+
     @pytest.mark.parametrize("rate", [20e3, 60e3, 100e3])
     @pytest.mark.parametrize("time_scale", [0.5e-6, 1e-6, 2e-6])
     def test_arctan_rows_take_the_product(self, rate, time_scale, cfg200k):

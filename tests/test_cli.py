@@ -304,8 +304,15 @@ class TestExecution:
         grid_to_csv(grid if other == "fitb_grid.csv" else grid.to_db(), tmp_path / other)
         assert (tmp_path / "out" / other).read_bytes() == (tmp_path / other).read_bytes()
 
+    def test_output_directory_is_an_argument(self, tmp_path):
+        # the scenario text names no output directory: the caller always passes one
+        assert list(inspect.signature(cli.load_scenario).parameters) == ["text"]
+        assert not hasattr(cli.load_scenario(SMALL_SCENARIO), "out_dir")
+        with pytest.raises(TypeError):
+            cli.execute_scenario(cli.load_scenario(SMALL_SCENARIO))
+
     def test_out_env_override(self, tmp_path, monkeypatch):
-        # the output directory is --out or [outputs] directory; no environment variable overrides it
+        # the output directory is the one passed; no environment variable overrides it
         monkeypatch.setenv("FDABEAM_OUT", str(tmp_path / "env_out"))
         out = run_scenario_text(SMALL_SCENARIO, tmp_path / "out")
         assert out == tmp_path / "out" and (out / "manifest.json").exists()
@@ -325,6 +332,38 @@ class TestMainVerbs:
         path.write_text(SMALL_SCENARIO)
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "manifest.json").exists()
+
+    def test_run_without_out_writes_beside_the_file(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "scenarios" / "s.ini"
+        path.parent.mkdir()
+        path.write_text(SMALL_SCENARIO)
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert cli.main(["run", str(path)]) == 0
+        assert (tmp_path / "scenarios" / "out" / "manifest.json").exists()
+        assert not (tmp_path / "cwd" / "out").exists()
+        assert capsys.readouterr().out == f"small: artifacts written to {path.parent / 'out'}\n"
+
+    def test_output_directory_under_a_file_exit_3(self, tmp_path, capsys):
+        # permission bits would not stop a root user; a regular file in the path does
+        path = tmp_path / "s.ini"
+        path.write_text(SMALL_SCENARIO)
+        (tmp_path / "blocker").write_text("")
+        out = tmp_path / "blocker" / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"validation error in {path}: output directory {out} is not writable")
+
+    def test_numerical_error_exit_4(self, tmp_path, capsys, monkeypatch):
+        def overflowing(*args, **kwargs):
+            raise ArithmeticError("engine overflow")
+        monkeypatch.setattr(cli, "sweep_grid", overflowing)
+        path = tmp_path / "s.ini"
+        path.write_text(SMALL_SCENARIO)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"numerical error running {path}: engine overflow\n"
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_run_empty_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "empty.ini"
@@ -367,37 +406,63 @@ class TestMainVerbs:
         assert cli.main(["validate", str(path)]) == cli.EXIT_PARSE
 
     @pytest.mark.parametrize("verb", ["validate", "run"])
-    @pytest.mark.parametrize("old, new", [
-        ("elements = 8", "elements = abc"),
-        ("trajectory = true", "trajectory = maybe"),
-        ("[scan_report]\n", "[scan_report]\nk = 1.5\n"),
-        ("[scan_report]", "[waveforms]\nkind = chirp-bank\nbase_rate = x\n\n[scan_report]"),
-        ("time = 1 us", "time = 1e us"),
-        ("time_samples = 16", "time_samples = 16\ntime_sample = 4"),
-        ("[scan_report]", "[fitb_grids]\ntime_samples = 4\n\n[scan_report]"),
-        ("pulse = 5 us", "pulse = 1e400 us"),
-        ("carrier = 10 GHz", "carrier = 1e308 GHz"),
-        ("time = 1 us", "time = nan us"),
-        ("[scan_report]", "[waveforms]\nkind = chirp-bank\nrate_step = inf\n\n[scan_report]"),
-        ("offset = 200 kHz", "ofset = 200 kHz"),
-        ("pulse = 5 us", "pulse = 5 us\npulses = 5 us"),
-        ("name = small", "name = small\nseeds = 1"),
-        ("[scan_report]", "[waveforms]\nkind = rect\nbandwith = 1 MHz\n\n[scan_report]"),
-        ("spacing = half-wavelength", "spacing = lambda0/2"),
-        ("[scan_report]", "[waveforms]\nkind = rect\nbandwidth = 1 MHz\n\n[scan_report]"),
-        ("name = small", "name = sm\udcffall"),  # a lone 0xff byte
-        ("[scan_report]", "[outputs]\nformats = ,\n\n[scan_report]"),
+    @pytest.mark.parametrize("old, new, expected", [
+        ("elements = 8", "elements = abc", "array.elements: invalid literal for int()"),
+        ("trajectory = true", "trajectory = maybe", "fitb_grid.trajectory: Not a boolean"),
+        ("[scan_report]\n", "[scan_report]\nk = 1.5\n", "scan_report.k: invalid literal"),
+        ("[scan_report]", "[waveforms]\nkind = chirp-bank\nbase_rate = x\n\n[scan_report]",
+         "waveforms.base_rate: could not convert"),
+        ("time = 1 us", "time = 1e us", "scan_report.time: cannot parse quantity '1e us'"),
+        ("time_samples = 16", "time_samples = 16\ntime_sample = 4",
+         "fitb_grid: unknown key 'time_sample'"),
+        ("[scan_report]", "[fitb_grids]\ntime_samples = 4\n\n[scan_report]",
+         "unknown section [fitb_grids]"),
+        ("pulse = 5 us", "pulse = 1e400 us", "array.pulse: cannot parse quantity '1e400 us'"),
+        ("carrier = 10 GHz", "carrier = 1e308 GHz", "array.carrier: quantity '1e308 GHz' overflows"),
+        ("time = 1 us", "time = nan us", "scan_report.time: cannot parse quantity 'nan us'"),
+        ("[scan_report]", "[waveforms]\nkind = chirp-bank\nrate_step = inf\n\n[scan_report]",
+         "waveforms.rate_step: inf is not a finite number"),
+        ("offset = 200 kHz", "ofset = 200 kHz", "plan: unknown key 'ofset'"),
+        ("pulse = 5 us", "pulse = 5 us\npulses = 5 us", "array: unknown key 'pulses'"),
+        ("name = small", "name = small\nseeds = 1", "scenario: unknown key 'seeds'"),
+        ("[scan_report]", "[waveforms]\nkind = rect\nbandwith = 1 MHz\n\n[scan_report]",
+         "waveforms: unknown key 'bandwith'"),
+        ("spacing = half-wavelength", "spacing = lambda0/2",
+         "array.spacing: cannot parse quantity 'lambda0/2'"),
+        ("[scan_report]", "[waveforms]\nkind = rect\nbandwidth = 1 MHz\n\n[scan_report]",
+         "waveforms: unknown key 'bandwidth'"),
+        ("name = small", "name = sm\udcffall", "not UTF-8 text"),  # a lone 0xff byte
+        ("[scan_report]", "[outputs]\nformats = ,\n\n[scan_report]",
+         "outputs: formats lists no format (csv, binary)"),
+        # inputs with a second way to say them: a [plan] or [weights] seed, --out, closed-form
+        ("name = small", "name = small\nseed = 1", "scenario: unknown key 'seed'"),
+        ("[scan_report]", "[outputs]\ndirectory = x\n\n[scan_report]",
+         "outputs: unknown key 'directory'"),
+        ("engine = exact", "engine = closed_form", "fitb_grid: unknown engine 'closed_form'"),
+        ("engine = exact", "engine = fast", "fitb_grid: unknown engine 'fast'"),
+        ("[scan_report]", "[weights]\ntype = steered\nangle = 30 grad\n\n[scan_report]",
+         "weights.angle: unknown angle unit 'grad'"),
+        ("[scan_report]", "[weights]\ntype = steered\n\n[scan_report]",
+         "weights: steered weights need an angle"),
+        ("[scan_report]", "[schedule]\nsegment1 = 0 us, 5 us, 0\n\n[scan_report]",
+         "schedule.segment1: expected 't_a, t_b, theta_a, theta_b', got '0 us, 5 us, 0'"),
+        ("[scan_report]", "[outputs]\nformats = csv, hdf5\n\n[scan_report]",
+         "outputs: unknown format 'hdf5'"),
     ], ids=["getint", "getboolean", "getint-float", "getfloat", "quantity", "unknown-key",
             "unknown-section", "infinite-quantity", "overflowing-quantity", "nan-quantity",
             "infinite-getfloat", "unknown-plan-key", "unknown-array-key",
             "unknown-scenario-key", "unknown-waveforms-key", "spacing-alias",
-            "removed-bandwidth-key", "non-utf-8", "empty-formats"])
-    def test_unparseable_value_exit_2(self, tmp_path, capsys, verb, old, new):
+            "removed-bandwidth-key", "non-utf-8", "empty-formats", "removed-scenario-seed",
+            "removed-outputs-directory", "removed-engine-spelling", "unknown-engine",
+            "unknown-angle-unit", "steered-without-angle", "three-field-segment",
+            "unknown-format"])
+    def test_unparseable_value_exit_2(self, tmp_path, capsys, verb, old, new, expected):
         path = tmp_path / "s.ini"
         path.write_bytes(SMALL_SCENARIO.replace(old, new).encode("utf-8", "surrogateescape"))
         assert cli.main([verb, str(path)]) == cli.EXIT_PARSE
         err = capsys.readouterr().err
-        assert err.startswith("parse error") and len(err.strip().splitlines()) == 1
+        assert err.startswith(f"parse error in {path}: ") and len(err.strip().splitlines()) == 1
+        assert expected in err
 
     @pytest.mark.parametrize("verb", ["validate", "run"])
     @pytest.mark.parametrize("text", [
@@ -537,6 +602,9 @@ class TestMainVerbs:
          "plan: Costas table of length 16 cannot cover 17 elements"),
         ("[plan]\noffset = 100 kHz\n[weights]\ntype = steered\nangle = 95 deg\n[fitb_grid]\n",
          "weights: steering angle"),
+        ("[plan]\ntype = tabulated\noffsets = 0, 1, 2 kHz\n[fitb_grid]\n",
+         "plan: 3 tabulated offsets for 8 elements"),
+        ("[weights]\ntype = random\n[fitb_grid]\n", "weights: random weights require a seed"),
     ], ids=["tabulated-scan-report", "coded-zero-time-cut", "time-modulated-legacy-grid",
             "tabulated-schedule", "segment-beyond-pulse", "negative-weight-seed",
             "coded-closed-form", "steered-closed-form", "chirp-bank-closed-form",
@@ -556,7 +624,8 @@ class TestMainVerbs:
             "uniform-weights-angle", "random-weights-angle", "uniform-plan-form",
             "default-plan-rate", "tabulated-plan-seed", "time-modulated-plan-offset",
             "preset-weights-angle", "chirp-rate-overflow", "chirp-rate-step-overflow",
-            "coded-random-without-seed", "costas-beyond-16-elements", "steered-beyond-90-deg"])
+            "coded-random-without-seed", "costas-beyond-16-elements", "steered-beyond-90-deg",
+            "tabulated-offset-count", "random-weights-without-seed"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, verb, body, expected):
         # a body without its own [array] section runs on an 8-element array
         path = tmp_path / "s.ini"

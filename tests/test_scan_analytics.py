@@ -318,6 +318,17 @@ class TestScanReport:
         assert "scan_volume_exact" in text
         assert "peak_direction_pred_deg = -30.00" in text
 
+    @pytest.mark.parametrize("k", [-1, 0, 1])
+    def test_grating_index_is_the_requested_order(self, k):
+        # at d = 3 cm, one wavelength, orders -1, 0 and 1 are visible at t' = 0: the report
+        # records the order it was built for, not the highest visible one
+        cfg = fb.ArrayConfig(num_elements=16, carrier_freq=1e10, spacing=0.03,
+                             pulse_duration=5e-6)
+        report = fb.build_scan_report(cfg, 100e3, 0.0, k)
+        assert len(report.zero_time_peaks) == 3
+        assert report.grating_index == k
+        assert f"grating_index = {k}\n" in report.as_text()
+
     def test_off_sector_prediction_reported_as_none(self):
         cfg = make_config(200e3)
         report = fb.build_scan_report(cfg, 200e3, t_eval=3e-6, k=0)
