@@ -4,9 +4,10 @@
 Each mutant in MUTANTS names a file under src/fdabeam, an exact text that must
 occur in it exactly once, and the text that replaces it.  Every selected
 mutant's text is checked first, and all stale entries are listed together
-before any suite runs.  For every mutant the script copies src/, tests/ and
-pyproject.toml into a fresh temporary directory, applies the edit there, runs
-the suite with ``-x`` and prints "killed" (the suite failed) or "SURVIVED".
+before any suite runs.  For every mutant the script copies src/, tests/,
+pyproject.toml and README.md (a test loads its example scenario) into a fresh
+temporary directory, applies the edit there, runs the suite with ``-x`` and
+prints "killed" (the suite failed) or "SURVIVED".
 The working tree is never modified.  The unmutated copy runs first: if it
 fails, no verdict would mean anything.
 
@@ -157,6 +158,22 @@ MUTANTS = (
      '"steered\\nangle = 60 deg"', '"steered\\nangle = 50 deg"'),
     ("preset-fig3d-offset-300-khz", "presets.py",
      '_fitb("fig3 400 kHz", "400 kHz")', '_fitb("fig3 400 kHz", "300 kHz")'),
+    # at 10 MHz the wavelength cut's grating lobe stays below 0.95*M within the sector
+    ("preset-fig2-offset-10-mhz", "presets.py",
+     '"uniform\\noffset = 100 Hz"', '"uniform\\noffset = 10 MHz"'),
+    ("preset-fig4-offset-60-khz", "presets.py",
+     '_fitb("fig4", "80 kHz")', '_fitb("fig4", "60 kHz")'),
+    ("preset-fig7c-scale-40-khz", "presets.py",
+     '_fig7("logarithmic", "50 kHz")', '_fig7("logarithmic", "40 kHz")'),
+    # the orthogonal-regime curve, fgtb_df10000kHz.csv, is no longer written
+    ("preset-fig8-last-offset-10-khz", "presets.py",
+     '"5 MHz, 10 MHz\\n', '"5 MHz, 10 kHz\\n'),
+    ("preset-fig9-first-offset-1-hz", "presets.py",
+     '"[mimo_compare]\\noffsets = 0 Hz, ', '"[mimo_compare]\\noffsets = 1 Hz, '),
+    # units looked up without their case: 5 mHz reads as 5 MHz, 1 Ms as 1 ms, 10 ghz as 10 GHz
+    ("unit-lookup-case-folded", "cli.py",
+     "    suffix = match.group(2)\n",
+     "    suffix, units = match.group(2).lower(), {u.lower(): s for u, s in units.items()}\n"),
 )
 
 
@@ -164,7 +181,8 @@ def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", "*.egg-info")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, dest / name)
 
 
 def _stale(table: dict, names) -> list[str]:

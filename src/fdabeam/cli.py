@@ -94,49 +94,43 @@ def _invalid(where: str):
         raise ScenarioValidationError(f"{where}: {exc}") from exc
 
 
-_UNIT_SCALE = {
-    "hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9,
-    "s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9,
-    "m": 1.0, "km": 1e3, "cm": 1e-2, "mm": 1e-3,
-}
+# Unit suffixes, matched exactly, and their scales: to SI for quantities, to radians for
+# angles (pi/180 is np.radians bit for bit), and none for dimensionless numbers.
+_QUANTITY_UNITS = {"": 1.0, "Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9, "s": 1.0,
+                   "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "m": 1.0, "km": 1e3, "cm": 1e-2, "mm": 1e-3}
+_ANGLE_UNITS = {"": math.pi / 180, "deg": math.pi / 180, "rad": 1.0}
+_NO_UNITS = {"": 1.0}
 
-_QTY_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([a-zA-Zµ]*)\s*$")
+_NUMBER_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([^\W\d_]*)\s*$")
 
 
-def _split_number(text: str, where: str, what: str) -> tuple[float, str]:
-    "Finite leading number and unit suffix; the pattern also admits non-numbers like '1e'."
-    match = _QTY_RE.match(text)
-    if match:
-        try:
-            value = float(match.group(1))
-        except ValueError:
-            value = math.nan
-        if math.isfinite(value):
-            return value, match.group(2)
-    raise ScenarioParseError(f"{where}: cannot parse {what} {text!r}")
+def _parse_number(text: str, where: str, what: str, units: dict[str, float]) -> float:
+    "A finite number times the scale of its unit suffix in units; the result must be finite."
+    match = _NUMBER_RE.match(text)
+    try:  # the pattern also admits non-numbers like '1e'
+        value = float(match.group(1)) if match else math.nan
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ScenarioParseError(f"{where}: cannot parse {what} {text!r}")
+    suffix = match.group(2)
+    if suffix not in units:
+        raise ScenarioParseError(f"{where}: unknown {what} unit {suffix!r} "
+                                 f"(accepted: {', '.join(filter(None, units)) or 'none'})")
+    value *= units[suffix]
+    if not math.isfinite(value):
+        raise ScenarioParseError(f"{where}: {what} {text!r} overflows")
+    return value
 
 
 def parse_quantity(text: str, where: str) -> float:
     "Number with optional engineering unit suffix, normalized to SI."
-    value, suffix = _split_number(text, where, "quantity")
-    unit = suffix.replace("µ", "u").lower()
-    if unit and unit not in _UNIT_SCALE:
-        raise ScenarioParseError(f"{where}: unknown unit {suffix!r}")
-    value *= _UNIT_SCALE.get(unit, 1.0)
-    if not math.isfinite(value):
-        raise ScenarioParseError(f"{where}: quantity {text!r} overflows")
-    return value
+    return _parse_number(text, where, "quantity", _QUANTITY_UNITS)
 
 
 def parse_angle(text: str, where: str) -> float:
     "Angle in radians; bare numbers and 'deg' suffixes are degrees, 'rad' is radians."
-    value, suffix = _split_number(text, where, "angle")
-    unit = suffix.lower()
-    if unit in ("", "deg"):
-        return np.radians(value)
-    if unit == "rad":
-        return value
-    raise ScenarioParseError(f"{where}: unknown angle unit {suffix!r}")
+    return _parse_number(text, where, "angle", _ANGLE_UNITS)
 
 
 def _parse_list(text: str) -> list[str]:
@@ -144,14 +138,11 @@ def _parse_list(text: str) -> list[str]:
 
 
 def _get(sec: configparser.SectionProxy, key: str, fallback, kind: str = "int"):
-    "sec.getint/getfloat/getboolean, reporting an unparseable or non-finite value as a parse error."
+    "sec.getint/getboolean, reporting an unparseable value as a parse error."
     try:
-        value = getattr(sec, f"get{kind}")(key, fallback=fallback)
+        return getattr(sec, f"get{kind}")(key, fallback=fallback)
     except ValueError as exc:
         raise ScenarioParseError(f"{sec.name}.{key}: {exc}") from None
-    if kind == "float" and not math.isfinite(value):
-        raise ScenarioParseError(f"{sec.name}.{key}: {value} is not a finite number")
-    return value
 
 
 def _check_cells(where: str, what: str, cells: int) -> None:
@@ -227,7 +218,6 @@ _WAVELENGTHS = {"half-wavelength": 0.5, "wavelength": 1.0}
 
 def _resolve_spacing(token: str, config: ArrayConfig, plan: FrequencyPlan, where: str) -> float:
     "A length, or a multiple of the reference wavelength lambda_0."
-    token = token.strip().lower()
     if token not in _WAVELENGTHS:
         return parse_quantity(token, where)
     return _WAVELENGTHS[token] * reference_wavelength(config, plan)
@@ -252,7 +242,7 @@ _KINDS: dict[str, tuple[str, str, dict[str, tuple[str, ...]]]] = {
 def _kind(sec: configparser.SectionProxy) -> str:
     "The kind a setup section selects; a key that kind does not read is a validation error."
     selector, default, reads = _KINDS[sec.name]
-    kind = sec.get(selector, default).strip().lower()
+    kind = sec.get(selector, default)
     if kind not in reads:
         raise ScenarioParseError(f"{sec.name}: unknown {selector} {kind!r}")
     for key in sec:
@@ -266,12 +256,11 @@ def _parse_plan(sec: configparser.SectionProxy, num_elements: int) -> FrequencyP
     if kind == "uniform":
         return UniformPlan(parse_quantity(sec.get("offset", "0"), "plan.offset"))
     if kind == "coded":
-        coding_name = sec.get("coding", "").strip().lower()
         scale = parse_quantity(sec.get("offset", "0"), "plan.offset")
         seed = _get(sec, "seed", None)
         with _invalid("plan"):
-            offsets = generate_offsets(FoCoding(scheme=coding_name, scale=scale, seed=seed),
-                                       num_elements)
+            offsets = generate_offsets(FoCoding(scheme=sec.get("coding", ""), scale=scale,
+                                                seed=seed), num_elements)
         return TabulatedPlan(offsets=tuple(offsets))
     if kind == "tabulated":
         offsets = [parse_quantity(v, "plan.offsets") for v in _parse_list(sec.get("offsets", ""))]
@@ -281,7 +270,7 @@ def _parse_plan(sec: configparser.SectionProxy, num_elements: int) -> FrequencyP
         return TabulatedPlan(offsets=tuple(offsets))
     with _invalid("plan"):
         return TimeModulatedPlan(
-            form=sec.get("form", "sqrt").strip().lower(),
+            form=sec.get("form", "sqrt"),
             rate=parse_quantity(sec.get("rate", "0"), "plan.rate"),
             time_scale=parse_quantity(sec.get("time_scale", "1 us"), "plan.time_scale"),
         )
@@ -311,8 +300,10 @@ def _parse_waveforms(sec: configparser.SectionProxy, config: ArrayConfig) -> lis
     with _invalid("waveforms"):  # finite rate numbers can still overflow once divided by T_p^2
         return make_chirp_bank(
             config,
-            base_rate_num=_get(sec, "base_rate", 100.0, "float"),
-            rate_step=_get(sec, "rate_step", 10.0, "float"),
+            base_rate_num=_parse_number(sec.get("base_rate", "100"), "waveforms.base_rate",
+                                        "number", _NO_UNITS),
+            rate_step=_parse_number(sec.get("rate_step", "10"), "waveforms.rate_step", "number",
+                                    _NO_UNITS),
         )
 
 
@@ -360,7 +351,7 @@ def _unique_tags(where: str, texts: list[str], tags: list[str], stem: str) -> li
 # on this module's attributes (timing instrumentation) see every call.
 
 def _parse_fitb_grid(sec: configparser.SectionProxy, sc: Scenario) -> dict:
-    engine = sec.get("engine", "exact").strip().lower()
+    engine = sec.get("engine", "exact")
     if engine not in ("exact", "closed-form"):
         raise ScenarioParseError(f"fitb_grid: unknown engine {engine!r}")
     if engine == "closed-form":
@@ -368,8 +359,8 @@ def _parse_fitb_grid(sec: configparser.SectionProxy, sc: Scenario) -> dict:
         if not isinstance(sc.plan, UniformPlan):
             raise ScenarioValidationError("fitb_grid: the closed-form engine needs a uniform plan")
         setup = sec.parser
-        if (setup["weights"].get("type", "uniform").strip().lower() != "uniform"
-                or setup["waveforms"].get("kind", "rect").strip().lower() != "rect"):
+        if (setup["weights"].get("type", "uniform") != "uniform"
+                or setup["waveforms"].get("kind", "rect") != "rect"):
             raise ScenarioValidationError("fitb_grid: the closed-form engine needs "
                                           "[weights] type = uniform and [waveforms] kind = rect")
     n_time = _samples(sec, "time_samples", 512, sc.config.num_elements)
@@ -600,7 +591,7 @@ def load_scenario(text: str) -> Scenario:
         raise ScenarioParseError(f"not a scenario file: {exc}") from exc
 
     if parser.has_section("scenario") and parser["scenario"].get("preset"):
-        base_text = _preset_text(parser["scenario"]["preset"].strip())
+        base_text = _preset_text(parser["scenario"]["preset"])
         parser = configparser.ConfigParser(interpolation=None)
         parser.read_string(base_text)
         parser.read_string(text)
@@ -647,7 +638,7 @@ def load_scenario(text: str) -> Scenario:
 
     formats = ("csv",)
     if parser.has_section("outputs"):
-        formats = tuple(v.lower() for v in _parse_list(parser["outputs"].get("formats", "csv")))
+        formats = tuple(_parse_list(parser["outputs"].get("formats", "csv")))
         if not formats:
             raise ScenarioParseError("outputs: formats lists no format (csv, binary)")
         for fmt in formats:

@@ -360,17 +360,21 @@ class TestClosedForm:
         closed = fb.fitb_closed_form(cfg, delta_f, t[:, None], theta[None, :])
         assert np.max(np.abs(exact - closed)) / M < 0.02
 
-    def test_report_deviation_growth(self, rect):
-        # larger offsets leave the approximation regime; report, don't assert
-        t = np.linspace(0, 5e-6, 64)
-        theta = fb.theta_grid(256)
-        for delta_f in (10e3, 100e3, 400e3, 2e6):
-            cfg = make_config(delta_f)
-            exact = np.abs(exact_field_matrix(cfg, fb.UniformPlan(delta_f),
-                                              fb.uniform_weights(M), rect, t, theta)) * SQRT_TP
-            closed = fb.fitb_closed_form(cfg, delta_f, t[:, None], theta[None, :])
-            dev = np.max(np.abs(exact - closed)) / M
-            print(f"closed-form deviation at delta_f={delta_f:g} Hz: {dev:.4f}")
+    @pytest.mark.parametrize("delta_f", [1e3, 10e3, 30e3, 100e3, 200e3, 400e3, 1e6, 2e6])
+    def test_deviation_within_dropped_phase_bound(self, rect, delta_f):
+        """The Dirichlet form drops element m's phase 2*pi*delta_f*m*(m-1)*d*sin(theta)/c.
+
+        A sum of unit phasors moves by at most the sum of its phase errors, so
+        |exact*sqrt(T_p) - closed| <= 2*pi*delta_f*(d/c)*M*(M-1)*(M-2)/3 on every cell.
+        """
+        cfg = make_config(delta_f)
+        t = np.linspace(0, 5e-6, 256)
+        theta = fb.theta_grid(512)
+        exact = np.abs(exact_field_matrix(cfg, fb.UniformPlan(delta_f),
+                                          fb.uniform_weights(M), rect, t, theta)) * SQRT_TP
+        closed = fb.fitb_closed_form(cfg, delta_f, t[:, None], theta[None, :])
+        bound = 2 * np.pi * delta_f * cfg.spacing / cfg.wave_speed * M * (M - 1) * (M - 2) / 3
+        assert np.max(np.abs(exact - closed)) <= bound
 
 
 class TestZeroTimeCut:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -64,11 +65,16 @@ class TestParsing:
         assert cli.parse_quantity("18 km", "x") == 18e3
         assert cli.parse_quantity("3e8", "x") == 3e8
         assert cli.parse_quantity("10GHz", "x") == 1e10
+        # every unit of the table, each spelled one way
+        assert [cli.parse_quantity(f"2 {unit}", "x") for unit in
+                ("Hz", "kHz", "MHz", "GHz", "s", "ms", "us", "ns", "m", "km", "cm", "mm")] == \
+            [2.0, 2e3, 2e6, 2e9, 2.0, 2e-3, 2e-6, 2e-9, 2.0, 2e3, 2e-2, 2e-3]
 
     def test_angles_default_degrees(self):
         assert cli.parse_angle("60", "x") == pytest.approx(np.radians(60))
         assert cli.parse_angle("60 deg", "x") == pytest.approx(np.radians(60))
         assert cli.parse_angle("0.5 rad", "x") == 0.5
+        assert cli.parse_angle("-37.25 deg", "x") == np.radians(-37.25)  # bit for bit
 
     def test_bad_unit_is_parse_error(self):
         with pytest.raises(cli.ScenarioParseError):
@@ -101,6 +107,12 @@ class TestParsing:
         sc = cli.load_scenario(text)
         assert sc.config.num_elements == 8  # override wins
         assert sc.evaluations[0][0] == "zero_time_cut"  # inherited from the preset
+
+    def test_readme_example_scenario_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        sc = cli.load_scenario(example + "\n[scan_report]\n")
+        assert (sc.name, sc.config.num_elements, sc.plan) == ("example", 16, fb.UniformPlan(200e3))
 
     def test_unknown_preset_reference(self):
         text = "[scenario]\npreset = fig99\n\n[array]\nelements = 8\ncarrier = 10 GHz\npulse = 5 us\n"
@@ -411,7 +423,7 @@ class TestMainVerbs:
         ("trajectory = true", "trajectory = maybe", "fitb_grid.trajectory: Not a boolean"),
         ("[scan_report]\n", "[scan_report]\nk = 1.5\n", "scan_report.k: invalid literal"),
         ("[scan_report]", "[waveforms]\nkind = chirp-bank\nbase_rate = x\n\n[scan_report]",
-         "waveforms.base_rate: could not convert"),
+         "waveforms.base_rate: cannot parse number 'x'"),
         ("time = 1 us", "time = 1e us", "scan_report.time: cannot parse quantity '1e us'"),
         ("time_samples = 16", "time_samples = 16\ntime_sample = 4",
          "fitb_grid: unknown key 'time_sample'"),
@@ -421,7 +433,7 @@ class TestMainVerbs:
         ("carrier = 10 GHz", "carrier = 1e308 GHz", "array.carrier: quantity '1e308 GHz' overflows"),
         ("time = 1 us", "time = nan us", "scan_report.time: cannot parse quantity 'nan us'"),
         ("[scan_report]", "[waveforms]\nkind = chirp-bank\nrate_step = inf\n\n[scan_report]",
-         "waveforms.rate_step: inf is not a finite number"),
+         "waveforms.rate_step: cannot parse number 'inf'"),
         ("offset = 200 kHz", "ofset = 200 kHz", "plan: unknown key 'ofset'"),
         ("pulse = 5 us", "pulse = 5 us\npulses = 5 us", "array: unknown key 'pulses'"),
         ("name = small", "name = small\nseeds = 1", "scenario: unknown key 'seeds'"),
@@ -448,14 +460,30 @@ class TestMainVerbs:
          "schedule.segment1: expected 't_a, t_b, theta_a, theta_b', got '0 us, 5 us, 0'"),
         ("[scan_report]", "[outputs]\nformats = csv, hdf5\n\n[scan_report]",
          "outputs: unknown format 'hdf5'"),
-    ], ids=["getint", "getboolean", "getint-float", "getfloat", "quantity", "unknown-key",
+        # units and keywords are matched as written: milli is not mega, and no value is folded
+        ("offset = 200 kHz", "offset = 5 mHz", "plan.offset: unknown quantity unit 'mHz'"),
+        ("pulse = 5 us", "pulse = 1 Ms", "array.pulse: unknown quantity unit 'Ms'"),
+        ("spacing = half-wavelength", "spacing = 1 Mm",
+         "array.spacing: unknown quantity unit 'Mm'"),
+        ("pulse = 5 us", "pulse = 5 µs", "array.pulse: unknown quantity unit 'µs'"),
+        ("carrier = 10 GHz", "carrier = 10 ghz", "array.carrier: unknown quantity unit 'ghz'"),
+        ("type = uniform", "type = Uniform", "plan: unknown type 'Uniform'"),
+        ("[scan_report]", "[outputs]\nformats = CSV\n\n[scan_report]",
+         "outputs: unknown format 'CSV'"),
+        ("spacing = half-wavelength", "spacing = Half-Wavelength",
+         "array.spacing: cannot parse quantity 'Half-Wavelength'"),
+        ("[scan_report]", "[waveforms]\nkind = chirp-bank\nbase_rate = 100 kHz\n\n[scan_report]",
+         "waveforms.base_rate: unknown number unit 'kHz' (accepted: none)"),
+    ], ids=["getint", "getboolean", "getint-float", "number", "quantity", "unknown-key",
             "unknown-section", "infinite-quantity", "overflowing-quantity", "nan-quantity",
-            "infinite-getfloat", "unknown-plan-key", "unknown-array-key",
+            "infinite-number", "unknown-plan-key", "unknown-array-key",
             "unknown-scenario-key", "unknown-waveforms-key", "spacing-alias",
             "removed-bandwidth-key", "non-utf-8", "empty-formats", "removed-scenario-seed",
             "removed-outputs-directory", "removed-engine-spelling", "unknown-engine",
             "unknown-angle-unit", "steered-without-angle", "three-field-segment",
-            "unknown-format"])
+            "unknown-format", "milli-hertz", "mega-second", "mega-metre", "micro-sign",
+            "lowercase-giga", "capitalized-type", "uppercase-format", "capitalized-spacing",
+            "dimensionless-with-unit"])
     def test_unparseable_value_exit_2(self, tmp_path, capsys, verb, old, new, expected):
         path = tmp_path / "s.ini"
         path.write_bytes(SMALL_SCENARIO.replace(old, new).encode("utf-8", "surrogateescape"))
@@ -505,8 +533,8 @@ class TestMainVerbs:
          "'5 MHz' and '5000 kHz' both write mimo_compare_df5000kHz.csv"),
         ("[legacy_grid]\nranges = 18 km, 18.0000001 km\n",
          "'18 km' and '18.0000001 km' both write legacy_r18km"),
-        ("[zero_time_cut]\nspacings = 2 cm, 2 CM\n",
-         "'2 cm' and '2 CM' both write zero_time_cut_2_cm.csv"),
+        ("[zero_time_cut]\nspacings = 2 cm, 2  cm\n",
+         "'2 cm' and '2  cm' both write zero_time_cut_2_cm.csv"),
         ("[fitb_grid]\ntime_samples = 1000000000000\n",
          "fitb_grid.time_samples: 1000000000000 samples need 8000000000000 cells"),
         ("[fitb_grid]\nangle_samples = 1000000000000\n",
@@ -734,17 +762,140 @@ def preset_runs(tmp_path_factory):
     return runs
 
 
-# The claim each preset's description makes, read back from its trajectory.csv:
-# the swept sine sector over the pulse, 2*delta_f*T_p at half a reference wavelength,
-# or the direction of the t' = 0 mainlobe in degrees.
+def _load_csv(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1).T
+
+
+def _trajectory(out, sc):
+    """The trajectory's times (s) and angles (rad), and the sine spacing h <= pi/N_theta.
+
+    A row's true peak lies within one sample of its argmax, and the refined peak
+    inside that same three-sample window, so each measured sine is within 2h of the
+    track.  Rows beyond 60 degrees do not count for a scan volume or speed: there a
+    mainlobe crossing the +-90 degree edge peaks out of view.
+    """
+    t_us, theta_deg = _load_csv(out / "trajectory.csv")
+    return t_us * 1e-6, np.radians(theta_deg), np.pi / dict(sc.evaluations)["fitb_grid"]["n_theta"]
+
+
+def _scan_volume(out, sc, expected):
+    "A per-row error of 2h moves a least-squares slope over times t by 2h*sum|dt|/sum(dt^2)."
+    t, theta, h = _trajectory(out, sc)
+    traj = fb.PeakTrajectory(t=t, theta=theta, ambiguous=np.abs(theta) > np.radians(60.0))
+    kept = fb.unwrap_sine_track(traj)[0]
+    dev = kept - kept.mean()
+    bound = 2 * h * np.abs(dev).sum() / (dev * dev).sum() * sc.config.pulse_duration
+    assert fb.measured_scan_volume(traj, sc.config.pulse_duration) == pytest.approx(
+        expected, abs=bound)
+
+
+def _zero_time_peak(out, sc, expected_deg):
+    t, theta, h = _trajectory(out, sc)
+    assert t[0] == 0.0
+    assert abs(np.sin(theta[0]) - np.sin(np.radians(expected_deg))) <= 2 * h
+
+
+def _scan_speed(out, sc, delta_f):
+    """Over every 1.5 us window within 60 degrees, the mean angular velocity obeys scan_speed.
+
+    That mean is scan_speed at some angle the window passes, and |scan_speed| grows
+    with |theta|: it lies between scan_speed at the window's angle nearest boresight
+    and at its farthest.  A sine within 2h of the track, at most sin(60 deg) from
+    boresight, is within e = 2h/sqrt(1 - (sin(60 deg) + 2h)^2) of it in angle.  So the
+    window's angles widen by e, and the measured velocity moves by 2e over its duration.
+    """
+    t, theta, h = _trajectory(out, sc)
+    e = 2 * h / np.sqrt(1 - (np.sin(np.radians(60.0)) + 2 * h) ** 2)
+    n = int(np.searchsorted(t, t[0] + 1.5e-6))
+    inside = np.lib.stride_tricks.sliding_window_view(np.abs(theta), n + 1).max(axis=1)
+    windows = np.flatnonzero(inside <= np.radians(60.0))
+    assert windows.size > t.size // 2
+    for a in windows:
+        lo, hi = sorted((theta[a], theta[a + n]))
+        lo, hi = lo - e, hi + e
+        near = 0.0 if lo <= 0.0 <= hi else min(lo, hi, key=abs)
+        speeds = sorted(fb.scan_speed(sc.config, delta_f, x) for x in (near, max(lo, hi, key=abs)))
+        duration = t[a + n] - t[a]
+        measured = (theta[a + n] - theta[a]) / duration
+        assert speeds[0] - 2 * e / duration <= measured <= speeds[1] + 2 * e / duration
+
+
+def _coded_scan_law(out, sc, coding):
+    "Criterion 7's law and budget: every row within 0.5 deg of the law at the offsets' slope."
+    t, theta, _ = _trajectory(out, sc)
+    offsets = fb.generate_offsets(coding, sc.config.num_elements)
+    slope = np.polyfit(np.arange(offsets.size), offsets, 1)[0]
+    predicted = [fb.predict_peak_direction(sc.config, slope, ti) for ti in t]
+    assert np.degrees(np.abs(theta - predicted)).max() < 0.5
+
+
+def _grating_lobes(out, sc, expected):
+    """Which spacings' zero-time cuts reach 0.95*M beyond 60 degrees, on each side.
+
+    A sample is a value of the cut, so one sample at 0.95*M shows a lobe.  The cut
+    |sum_m exp(j*m*psi)|, psi = 2*pi*(f_c + delta_f)*d*sin(theta)/c, has a slope of at
+    most pi*M*(M-1)*(f_c + delta_f)*d/c, and every angle beyond 60 degrees lies within
+    one step pi/N_theta of a sample beyond it: a sampled maximum that far below 0.95*M
+    shows there is none.
+    """
+    params = dict(sc.evaluations)["zero_time_cut"]
+    configs = dict(zip(params["tags"], params["configs"]))
+    m = sc.config.num_elements
+    for tag, lobes in expected.items():
+        cfg = configs[tag]
+        slope = np.pi * m * (m - 1) * (cfg.carrier_freq + sc.plan.delta_f) * cfg.spacing / \
+            cfg.wave_speed
+        theta_deg, value = _load_csv(out / f"zero_time_cut_{tag}.csv")
+        for side in (theta_deg > 60.0, theta_deg < -60.0):
+            peak = value[side].max()
+            reach = peak if lobes else peak + slope * np.pi / params["n_theta"]
+            assert (reach >= 0.95 * m) == lobes
+
+
+def _orthogonal_regime(out, sc, offset):
+    "Criterion 8's orthogonal regime: flat within 1 dB at the offset; every curve peaks at 0 dB."
+    for tag in dict(sc.evaluations)["fgtb_curve"]["tags"]:
+        assert _load_csv(out / f"fgtb_df{tag}.csv")[1].max() == 0.0
+    flat = _load_csv(out / f"fgtb_df{offset / 1e3:g}kHz.csv")[1]
+    assert flat.max() - flat.min() < 1.0
+
+
+def _mimo_report(out, sc, offset):
+    """The report's deviation is 0 at 0 Hz and, at the offset, the CSV's to the printed digits.
+
+    Each normalized CSV cell, at most 1, is printed to ten significant digits, within
+    5e-11; the report prints a mantissa with six decimals.
+    """
+    report = (out / "mimo_compare_report.txt").read_text()
+    deviations = {float(hz): text for hz, text in
+                  re.findall(r"offset_hz = (\S+) : max_deviation = (\S+) ", report)}
+    assert deviations[0.0] == "0.000000e+00"
+    fgtb_norm, mimo_norm = _load_csv(out / f"mimo_compare_df{offset / 1e3:g}kHz.csv")[1:]
+    reported = float(deviations[offset])
+    printed = 0.5 * 10.0 ** (math.floor(math.log10(reported)) - 6)
+    assert abs(np.abs(fgtb_norm - mimo_norm).max() - reported) <= printed + 1e-10
+
+
+# The claim each preset's description makes, read back from its artifacts: a checker and
+# what it expects.  Scan volumes are swept sine sectors over the pulse, 2*delta_f*T_p at
+# half a reference wavelength; zero-time peaks are in degrees.
 PRESET_CLAIMS = {
-    "fig3a": ("scan volume", 0.1),  # limited coverage
-    "fig3b": ("scan volume", 0.3),
-    "fig3c": ("scan volume", 2.0),  # the full sector once
-    "fig3d": ("scan volume", 4.0),  # the full sector twice
-    "fig3e": ("scan volume", 0.0),  # no scan
-    "fig5a": ("zero-time peak", 0.0),
-    "fig5b": ("zero-time peak", 60.0),
+    "fig2": (_grating_lobes, {"half_wavelength": False, "wavelength": True}),
+    "fig3a": (_scan_volume, 0.1),  # limited coverage
+    "fig3b": (_scan_volume, 0.3),
+    "fig3c": (_scan_volume, 2.0),  # the full sector once
+    "fig3d": (_scan_volume, 4.0),  # the full sector twice
+    "fig3e": (_scan_volume, 0.0),  # no scan
+    "fig4": (_scan_speed, 80e3),
+    "fig5a": (_zero_time_peak, 0.0),
+    "fig5b": (_zero_time_peak, 60.0),
+    "fig7a": (_coded_scan_law, fb.FoCoding("random", 100e3, seed=20230301)),
+    "fig7b": (_coded_scan_law, fb.FoCoding("costas", 5e3)),
+    "fig7c": (_coded_scan_law, fb.FoCoding("logarithmic", 50e3)),
+    "fig7d": (_coded_scan_law, fb.FoCoding("square", 1e3)),
+    "fig8": (_orthogonal_regime, 10e6),
+    "fig9a": (_mimo_report, 10e6),
+    "fig9b": (_mimo_report, 10e6),
 }
 
 
@@ -756,31 +907,8 @@ class TestPresetContents:
 
     @pytest.mark.parametrize("name", PRESET_CLAIMS)
     def test_preset_artifacts_hold_their_claim(self, preset_runs, name):
-        """Tolerances come from the sine spacing h <= pi/N_theta of the azimuth samples.
-
-        A row's true peak lies within one sample of its argmax, and the refined peak
-        inside that same three-sample window, so each measured sine is within 2h of the
-        track.  A per-row error of at most 2h moves a least-squares slope over times t
-        by at most 2h*sum|t - mean(t)|/sum((t - mean(t))^2).  Rows beyond 60 degrees
-        are left out: there a mainlobe crossing the +-90 degree edge peaks out of view.
-        """
-        claim, expected = PRESET_CLAIMS[name]
-        out, _ = preset_runs[name]
-        sc = cli.load_scenario(PRESETS[name][1])
-        h = np.pi / dict(sc.evaluations)["fitb_grid"]["n_theta"]
-        t_us, theta_deg = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1).T
-        theta = np.radians(theta_deg)
-        if claim == "zero-time peak":
-            assert t_us[0] == 0.0
-            assert abs(np.sin(theta[0]) - np.sin(np.radians(expected))) <= 2 * h
-            return
-        traj = fb.PeakTrajectory(t=t_us * 1e-6, theta=theta,
-                                 ambiguous=np.abs(theta) > np.radians(60.0))
-        t, _ = fb.unwrap_sine_track(traj)
-        dev = t - t.mean()
-        bound = 2 * h * np.abs(dev).sum() / (dev * dev).sum() * sc.config.pulse_duration
-        assert fb.measured_scan_volume(traj, sc.config.pulse_duration) == pytest.approx(
-            expected, abs=bound)
+        check, expected = PRESET_CLAIMS[name]
+        check(preset_runs[name][0], cli.load_scenario(PRESETS[name][1]), expected)
 
     def test_fig8_emits_four_curves(self, tmp_path):
         out = run_scenario_text(PRESETS["fig8"][1], tmp_path)
@@ -801,7 +929,8 @@ _SETUP_KEYS = {
 _TOKENS = ("10 GHz", "5 us", "0", "0 Hz", "-2.5 GHz", "100 kHz", "1e400 us", "1e308 GHz", "inf",
            "nan", "-1", "half-wavelength", "wavelength", "1.5 cm", "uniform", "coded",
            "tabulated", "time-modulated", "steered", "random", "rect", "chirp-bank", "costas",
-           "logarithmic", "sqrt", "table", "60 deg", "90 deg", "0.5 rad", "7", "1, 2, 3 kHz")
+           "logarithmic", "sqrt", "table", "60 deg", "90 deg", "0.5 rad", "7", "1, 2, 3 kHz",
+           "5 mHz", "5 µs", "Uniform")
 _VALUES = st.one_of(st.sampled_from(_TOKENS), st.text(max_size=12))
 _EVALUATIONS = ("[scan_report]\n",
                 "[fitb_grid]\ntime_samples = 2\nangle_samples = 2\n",
@@ -864,7 +993,7 @@ _SECTION_VALUES = {
                   "engine": ("exact", "closed-form", "fast"), "trajectory": ("true", "false")},
     "zero_time_cut": {"angle_samples": ("2", "7", "1"),
                       "spacings": ("half-wavelength", "wavelength", "1.5 cm", "-1 cm", "0 m",
-                                   "1 cm, 3 cm", "2 cm, 2 CM", "lambda0", "")},
+                                   "1 cm, 3 cm", "2 cm, 2  cm", "lambda0", "")},
     "legacy_grid": {"ranges": ("18 km", "18 km, 27 km", "0 km", "-5 km", "1e17 km", "1e300 km",
                                "x"),
                     "time_samples": ("2", "4", "1"), "angle_samples": ("2", "3")},
