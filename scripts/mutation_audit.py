@@ -57,13 +57,18 @@ MUTANTS = (
     ("zero-time-peaks-last-order", "scan_analytics.py",
      "for k in range(-k_max, k_max + 1))", "for k in range(-k_max, k_max))"),
     ("grating-index-is-highest-order", "scan_analytics.py",
-     "        grating_index=k,\n", "        grating_index=(len(peaks) - 1) // 2,\n"),
+     'f"grating_index = {k}"', 'f"grating_index = {(len(peaks) - 1) // 2}"'),
     ("ambiguity-threshold-0.3", "scan_analytics.py",
      "values[rows, j] < 0.5 * ref", "values[rows, j] < 0.3 * ref"),
+    # in a gap between segments the beam takes the next segment's start angle
+    ("itinerary-holds-next-start-angle", "scan_analytics.py",
+     "np.where(i > 0, th_b[i - 1], th_a[0])", "th_a[j]"),
     # the paper's (f_c + delta_f) in the grating step every scan law scales, with f_c alone
     ("grating-step-carrier-only", "scan_analytics.py",
      "return config.wave_speed / ((config.carrier_freq + delta_f) * config.spacing)",
      "return config.wave_speed / (config.carrier_freq * config.spacing)"),
+    ("csv-reader-drops-first-row", "beampattern_instant.py",
+     "table[:, 0] * 1e-6, theta, table[:, 1:]", "table[1:, 0] * 1e-6, theta, table[1:, 1:]"),
     ("chi-at-retarded-time", "beampattern_instant.py",
      "plan.chi(mi, tau, out=cycles)", "plan.chi(mi, times, out=cycles)"),
     ("row-start-without-element-0", "beampattern_instant.py",
@@ -170,6 +175,9 @@ MUTANTS = (
      '"5 MHz, 10 MHz\\n', '"5 MHz, 10 kHz\\n'),
     ("preset-fig9-first-offset-1-hz", "presets.py",
      '"[mimo_compare]\\noffsets = 0 Hz, ', '"[mimo_compare]\\noffsets = 1 Hz, '),
+    # a random coding without a seed draws fresh offsets on every load
+    ("coded-random-without-seed-check", "waveform.py",
+     "    if seed is None:\n        raise ValueError(\"random FO coding requires a seed\")\n", ""),
     # units looked up without their case: 5 mHz reads as 5 MHz, 1 Ms as 1 ms, 10 ghz as 10 GHz
     ("unit-lookup-case-folded", "cli.py",
      "    suffix = match.group(2)\n",

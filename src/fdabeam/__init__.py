@@ -19,8 +19,7 @@ from .array_model import (
 from .waveform import (
     DEFAULT_COSTAS_16,
     BasebandWaveform,
-    FoCoding,
-    generate_offsets,
+    coded_offsets,
     make_chirp_bank,
     rect_pulse,
     with_freq_offset,
@@ -38,7 +37,6 @@ from .beampattern_instant import (
 from .scan_analytics import (
     PeakTrajectory,
     PhaseSchedule,
-    ScanReport,
     beamwidth,
     build_scan_report,
     design_phase_schedule,

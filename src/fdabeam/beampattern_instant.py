@@ -538,14 +538,10 @@ def grid_to_csv(grid: BeampatternGrid, path: str | Path) -> str:
 
 def grid_from_csv(path: str | Path, normalization: str = "linear-magnitude") -> BeampatternGrid:
     "Read back a grid written by grid_to_csv."
-    lines = Path(path).read_text().strip().splitlines()
-    theta = np.radians([float(v) for v in lines[0].split(",")[1:]])
-    t_axis, rows = [], []
-    for line in lines[1:]:
-        cells = line.split(",")
-        t_axis.append(float(cells[0]) * 1e-6)
-        rows.append([float(v) for v in cells[1:]])
-    return BeampatternGrid(np.asarray(t_axis), theta, np.asarray(rows), normalization)
+    with open(path) as fh:
+        theta = np.radians([float(v) for v in fh.readline().split(",")[1:]])
+        table = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return BeampatternGrid(table[:, 0] * 1e-6, theta, table[:, 1:], normalization)
 
 
 def grid_to_binary(grid: BeampatternGrid, path: str | Path) -> str:

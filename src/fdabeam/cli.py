@@ -67,7 +67,7 @@ from .scan_analytics import (
     schedule_playback_grid,
     trajectory_to_csv,
 )
-from .waveform import FoCoding, generate_offsets, make_chirp_bank, rect_pulse
+from .waveform import coded_offsets, make_chirp_bank, rect_pulse
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -259,8 +259,7 @@ def _parse_plan(sec: configparser.SectionProxy, num_elements: int) -> FrequencyP
         scale = parse_quantity(sec.get("offset", "0"), "plan.offset")
         seed = _get(sec, "seed", None)
         with _invalid("plan"):
-            offsets = generate_offsets(FoCoding(scheme=sec.get("coding", ""), scale=scale,
-                                                seed=seed), num_elements)
+            offsets = coded_offsets(sec.get("coding", ""), scale, num_elements, seed)
         return TabulatedPlan(offsets=tuple(offsets))
     if kind == "tabulated":
         offsets = [parse_quantity(v, "plan.offsets") for v in _parse_list(sec.get("offsets", ""))]
@@ -507,7 +506,7 @@ def _parse_scan_report(sec: configparser.SectionProxy, sc: Scenario) -> dict:
 
 def _run_scan_report(sc: Scenario, params: dict, out: Path) -> dict[str, str]:
     report = build_scan_report(sc.config, sc.plan.delta_f, params["t_eval"], params["k"])
-    return {"scan_report.txt": write_chunks(out / "scan_report.txt", [report.as_text().encode()])}
+    return {"scan_report.txt": write_chunks(out / "scan_report.txt", [report.encode()])}
 
 
 def _parse_segments(sec: configparser.SectionProxy) -> list:

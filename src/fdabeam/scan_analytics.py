@@ -94,61 +94,34 @@ def zero_time_peaks(config: ArrayConfig, delta_f: float) -> tuple[float, ...]:
     return tuple(math.asin(k * unit) for k in range(-k_max, k_max + 1))
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    "Bundle of the closed-form scan analytics at one (t', k) of interest."
-
-    peak_direction_pred: float | None
-    scan_speed: float | None
-    beamwidth_sine: float
-    azimuth_resolution: float | None
-    scan_volume_exact: float
-    scan_volume_approx: float
-    first_null: float | None
-    zero_time_peaks: tuple[float, ...]
-    grating_index: int
-
-    def as_text(self) -> str:
-        "Flat key = value table, angles in degrees."
-        def deg(x):
-            return "none" if x is None else f"{math.degrees(x):.6f}"
-        lines = [
-            f"peak_direction_pred_deg = {deg(self.peak_direction_pred)}",
-            "scan_speed_deg_per_us = "
-            + ("none" if self.scan_speed is None else f"{math.degrees(self.scan_speed) * 1e-6:.6f}"),
-            f"beamwidth_sine = {self.beamwidth_sine:.8f}",
-            f"azimuth_resolution_deg = {deg(self.azimuth_resolution)}",
-            f"scan_volume_exact = {self.scan_volume_exact:.8f}",
-            f"scan_volume_approx = {self.scan_volume_approx:.8f}",
-            f"first_null_deg = {deg(self.first_null)}",
-            "zero_time_peaks_deg = " + ",".join(f"{math.degrees(v):.6f}" for v in self.zero_time_peaks),
-            f"grating_index = {self.grating_index}",
-        ]
-        return "\n".join(lines) + "\n"
-
-
 def build_scan_report(config: ArrayConfig, delta_f: float,
-                      t_eval: float = 0.0, k: int = 0) -> ScanReport:
-    "Assemble every closed-form prediction for one uniform offset."
+                      t_eval: float = 0.0, k: int = 0) -> str:
+    """Every closed-form prediction for one uniform offset at (t_eval, k), as text.
+
+    One `key = value` line each, angles in degrees; a prediction with no visible
+    direction reads none.
+    """
+    def deg(x):
+        return "none" if x is None else f"{math.degrees(x):.6f}"
     theta_pred = predict_peak_direction(config, delta_f, t_eval, k)
-    speed = res = None
-    width_sine, _ = beamwidth(config, delta_f, 0.0)
+    speed, res = "none", None
     if theta_pred is not None and abs(theta_pred) < np.pi / 2 - ENDFIRE_GUARD:
-        speed = scan_speed(config, delta_f, theta_pred)
+        speed = f"{math.degrees(scan_speed(config, delta_f, theta_pred)) * 1e-6:.6f}"
         res = beamwidth(config, delta_f, theta_pred)[1]
     vol_exact, vol_approx = scan_volume(config, delta_f)
     peaks = zero_time_peaks(config, delta_f)
-    return ScanReport(
-        peak_direction_pred=theta_pred,
-        scan_speed=speed,
-        beamwidth_sine=width_sine,
-        azimuth_resolution=res,
-        scan_volume_exact=vol_exact,
-        scan_volume_approx=vol_approx,
-        first_null=first_null(config, delta_f),
-        zero_time_peaks=peaks,
-        grating_index=k,
-    )
+    lines = [
+        f"peak_direction_pred_deg = {deg(theta_pred)}",
+        f"scan_speed_deg_per_us = {speed}",
+        f"beamwidth_sine = {beamwidth(config, delta_f, 0.0)[0]:.8f}",
+        f"azimuth_resolution_deg = {deg(res)}",
+        f"scan_volume_exact = {vol_exact:.8f}",
+        f"scan_volume_approx = {vol_approx:.8f}",
+        f"first_null_deg = {deg(first_null(config, delta_f))}",
+        "zero_time_peaks_deg = " + ",".join(f"{math.degrees(v):.6f}" for v in peaks),
+        f"grating_index = {k}",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,19 +248,14 @@ def design_phase_schedule(config: ArrayConfig, delta_f: float,
     if not segs:
         raise ValueError("need at least one segment")
 
+    t_a, t_b, th_a, th_b = np.array(segs).T
     t_grid = np.linspace(0.0, config.pulse_duration, n_time)
-    target = np.empty(n_time)
-    for i, t in enumerate(t_grid):
-        angle = segs[0][2]
-        for t_a, t_b, th_a, th_b in segs:
-            if t < t_a:
-                break
-            if t <= t_b:
-                frac = (t - t_a) / (t_b - t_a)
-                angle = th_a + frac * (th_b - th_a)
-                break
-            angle = th_b  # past this segment: hold its end angle
-        target[i] = angle
+    i = np.searchsorted(t_b, t_grid)  # the first segment that ends at or after each sample
+    j = np.minimum(i, t_b.size - 1)
+    frac = (t_grid - t_a[j]) / (t_b[j] - t_a[j])
+    held = np.where(i > 0, th_b[i - 1], th_a[0])  # outside a segment: the last end angle
+    target = np.where((i < t_b.size) & (t_grid >= t_a[j]), th_a[j] + frac * (th_b[j] - th_a[j]),
+                      held)
     # phi in cycles: cancels the offset sweep and repoints the carrier phase slope
     phi = -delta_f * t_grid - (config.carrier_freq / config.wave_speed) \
         * config.spacing * np.sin(target)

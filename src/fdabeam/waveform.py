@@ -78,9 +78,9 @@ def with_freq_offset(w: BasebandWaveform, freq_offset: float) -> BasebandWavefor
     return replace(w, freq_offset=w.freq_offset + freq_offset)
 
 
-@dataclass(frozen=True)
-class FoCoding:
-    """Frequency-offset coding scheme producing per-element offsets.
+def coded_offsets(scheme: str, scale: float, num_elements: int,
+                  seed: int | None = None) -> np.ndarray:
+    """Per-element frequency offsets in Hz of a coding scheme, deterministic given its inputs.
 
     Schemes: "random" (epsilon_m * scale, epsilon_m uniform on (0,1), seeded),
     "costas" (c_m * scale from DEFAULT_COSTAS_16, so at most 16 elements), "logarithmic"
@@ -92,29 +92,18 @@ class FoCoding:
     logarithmic coding has a slope of 7.8 kHz and the 1 kHz square coding one
     of 15 kHz.
     """
-
-    scheme: str
-    scale: float
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.scheme not in ("random", "costas", "logarithmic", "square"):
-            raise ValueError(f"unknown FO coding scheme {self.scheme!r}")
-        if self.scheme == "random" and self.seed is None:
-            raise ValueError("random FO coding requires a seed")
-
-
-def generate_offsets(coding: FoCoding, num_elements: int) -> np.ndarray:
-    "Per-element frequency offsets in Hz, length M, deterministic given the coding."
     m = np.arange(num_elements)
-    if coding.scheme == "square":
-        return m.astype(float) ** 2 * coding.scale
-    if coding.scheme == "logarithmic":
-        return np.log(m + 1.0) * coding.scale
-    if coding.scheme == "costas":
+    if scheme == "square":
+        return m.astype(float) ** 2 * scale
+    if scheme == "logarithmic":
+        return np.log(m + 1.0) * scale
+    if scheme == "costas":
         if len(DEFAULT_COSTAS_16) < num_elements:
             raise ValueError(f"Costas table of length {len(DEFAULT_COSTAS_16)} "
                              f"cannot cover {num_elements} elements")
-        return np.asarray(DEFAULT_COSTAS_16[:num_elements], dtype=float) * coding.scale
-    rng = np.random.default_rng(coding.seed)
-    return rng.random(num_elements) * coding.scale
+        return np.asarray(DEFAULT_COSTAS_16[:num_elements], dtype=float) * scale
+    if scheme != "random":
+        raise ValueError(f"unknown FO coding scheme {scheme!r}")
+    if seed is None:
+        raise ValueError("random FO coding requires a seed")
+    return np.random.default_rng(seed).random(num_elements) * scale

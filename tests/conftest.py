@@ -1,7 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 import fdabeam as fb
+from fdabeam import cli
+from fdabeam.presets import PRESETS
 
 
 def make_config(delta_f: float, num_elements: int = 16, carrier: float = 1e10,
@@ -14,6 +18,18 @@ def make_config(delta_f: float, num_elements: int = 16, carrier: float = 1e10,
         spacing=spacing_factor * lam0,
         pulse_duration=pulse,
     )
+
+
+@pytest.fixture(scope="session")
+def preset_runs(tmp_path_factory):
+    "Every preset run once: {name: (output directory, seconds taken)}."
+    root = tmp_path_factory.mktemp("presets")
+    runs = {}
+    for name, (_, text) in PRESETS.items():
+        start = time.perf_counter()
+        out = cli.execute_scenario(cli.load_scenario(text), root / name)
+        runs[name] = out, time.perf_counter() - start
+    return runs
 
 
 @pytest.fixture

@@ -129,9 +129,9 @@ def test_criterion_04_initial_mainlobe_direction():
               f"{np.degrees(traj_steered.theta[0]):.3f} deg")
 
 
-def test_criterion_05_range_independence(tmp_path):
+def test_criterion_05_range_independence(preset_runs):
     sc = cli.load_scenario(PRESETS["fig6"][1])
-    out = cli.execute_scenario(sc, tmp_path)
+    out = preset_runs["fig6"][0]
 
     # retarded-time grids carry no range dependence: byte-identical artifacts
     fitb18 = (out / "fitb_r18km.csv").read_bytes()
@@ -170,6 +170,8 @@ def test_criterion_05_range_independence(tmp_path):
 
 
 def test_criterion_06_oracle_equivalence_small_offset():
+    # the closed form drops element m's phase 2*pi*delta_f*m*(m-1)*d*sin(theta)/c; a sum
+    # of unit phasors moves by at most the sum of its phase errors
     delta_f = 10e3
     cfg = make_config(delta_f)
     t = np.linspace(0.0, TP, 256)
@@ -177,16 +179,18 @@ def test_criterion_06_oracle_equivalence_small_offset():
     exact = np.abs(exact_field_matrix(cfg, fb.UniformPlan(delta_f),
                                       fb.uniform_weights(M), RECT, t, theta)) * np.sqrt(TP)
     closed = fb.fitb_closed_form(cfg, delta_f, t[:, None], theta[None, :])
-    deviation = np.max(np.abs(exact - closed)) / M
-    assert deviation < 0.02
-    report(6, f"closed form within {100 * deviation:.3f}% of the exact oracle (< 2%)")
+    deviation = np.max(np.abs(exact - closed))
+    bound = 2 * np.pi * delta_f * cfg.spacing / cfg.wave_speed * M * (M - 1) * (M - 2) / 3
+    assert deviation <= bound
+    report(6, f"closed form within {100 * deviation / M:.3f}% of M of the exact oracle "
+              f"(dropped-phase bound {100 * bound / M:.3f}%)")
 
 
 @pytest.mark.parametrize("name,plan_offsets", [
-    ("logarithmic 50 kHz", fb.generate_offsets(fb.FoCoding("logarithmic", 50e3), M)),
-    ("square 1 kHz", fb.generate_offsets(fb.FoCoding("square", 1e3), M)),
-    ("costas 5 kHz", fb.generate_offsets(fb.FoCoding("costas", 5e3), M)),
-    ("random 100 kHz", fb.generate_offsets(fb.FoCoding("random", 100e3, seed=20230301), M)),
+    ("logarithmic 50 kHz", fb.coded_offsets("logarithmic", 50e3, M)),
+    ("square 1 kHz", fb.coded_offsets("square", 1e3, M)),
+    ("costas 5 kHz", fb.coded_offsets("costas", 5e3, M)),
+    ("random 100 kHz", fb.coded_offsets("random", 100e3, M, seed=20230301)),
 ])
 def test_criterion_07_focused_nonlinear_fo(name, plan_offsets):
     cfg = make_config(0.0)

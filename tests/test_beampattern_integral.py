@@ -142,7 +142,7 @@ def _bank(kind, cfg):
     return fb.make_chirp_bank(cfg, base_rate, rate_step)
 
 
-COSTAS_PLAN = fb.TabulatedPlan(offsets=tuple(fb.generate_offsets(fb.FoCoding("costas", 1e6), M)))
+COSTAS_PLAN = fb.TabulatedPlan(offsets=tuple(fb.coded_offsets("costas", 1e6, M)))
 
 
 class TestClosedFormCovariance:
@@ -224,7 +224,7 @@ class TestFgtb:
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_tabulated_plan_oracle(self, cfg):
-        offsets = fb.generate_offsets(fb.FoCoding("logarithmic", 50e3), M)
+        offsets = fb.coded_offsets("logarithmic", 50e3, M)
         plan = fb.TabulatedPlan(offsets=tuple(offsets))
         bank = fb.make_chirp_bank(cfg)
         r = fb.covariance(bank, plan)

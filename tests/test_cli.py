@@ -750,18 +750,6 @@ class TestBlasThreads:
         assert blas_threads() == 2
 
 
-@pytest.fixture(scope="module")
-def preset_runs(tmp_path_factory):
-    "Every preset run once: {name: (output directory, seconds taken)}."
-    root = tmp_path_factory.mktemp("presets")
-    runs = {}
-    for name, (_, text) in PRESETS.items():
-        start = time.perf_counter()
-        out = run_scenario_text(text, root / name)
-        runs[name] = out, time.perf_counter() - start
-    return runs
-
-
 def _load_csv(path):
     return np.loadtxt(path, delimiter=",", skiprows=1).T
 
@@ -823,7 +811,8 @@ def _scan_speed(out, sc, delta_f):
 def _coded_scan_law(out, sc, coding):
     "Criterion 7's law and budget: every row within 0.5 deg of the law at the offsets' slope."
     t, theta, _ = _trajectory(out, sc)
-    offsets = fb.generate_offsets(coding, sc.config.num_elements)
+    scheme, scale, seed = coding
+    offsets = fb.coded_offsets(scheme, scale, sc.config.num_elements, seed)
     slope = np.polyfit(np.arange(offsets.size), offsets, 1)[0]
     predicted = [fb.predict_peak_direction(sc.config, slope, ti) for ti in t]
     assert np.degrees(np.abs(theta - predicted)).max() < 0.5
@@ -889,10 +878,10 @@ PRESET_CLAIMS = {
     "fig4": (_scan_speed, 80e3),
     "fig5a": (_zero_time_peak, 0.0),
     "fig5b": (_zero_time_peak, 60.0),
-    "fig7a": (_coded_scan_law, fb.FoCoding("random", 100e3, seed=20230301)),
-    "fig7b": (_coded_scan_law, fb.FoCoding("costas", 5e3)),
-    "fig7c": (_coded_scan_law, fb.FoCoding("logarithmic", 50e3)),
-    "fig7d": (_coded_scan_law, fb.FoCoding("square", 1e3)),
+    "fig7a": (_coded_scan_law, ("random", 100e3, 20230301)),
+    "fig7b": (_coded_scan_law, ("costas", 5e3, None)),
+    "fig7c": (_coded_scan_law, ("logarithmic", 50e3, None)),
+    "fig7d": (_coded_scan_law, ("square", 1e3, None)),
     "fig8": (_orthogonal_regime, 10e6),
     "fig9a": (_mimo_report, 10e6),
     "fig9b": (_mimo_report, 10e6),
@@ -910,8 +899,8 @@ class TestPresetContents:
         check, expected = PRESET_CLAIMS[name]
         check(preset_runs[name][0], cli.load_scenario(PRESETS[name][1]), expected)
 
-    def test_fig8_emits_four_curves(self, tmp_path):
-        out = run_scenario_text(PRESETS["fig8"][1], tmp_path)
+    def test_fig8_emits_four_curves(self, preset_runs):
+        out = preset_runs["fig8"][0]
         curves = sorted(p.name for p in out.glob("fgtb_df*.csv"))
         assert len(curves) == 4
         header = (out / curves[0]).read_text().splitlines()[0]

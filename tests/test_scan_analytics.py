@@ -296,6 +296,43 @@ class TestPhaseSchedule:
                                     sched.t_grid[i], grid.theta_axis[j]))
             assert grid.values[i, j] == pytest.approx(want, rel=0, abs=1e-9 * M / np.sqrt(5e-6))
 
+    @staticmethod
+    def itinerary_by_loop(segs, t_grid):
+        """The itinerary rule sample by sample: inside a segment, its linear angle; else
+        the end angle of the last segment passed, or the first start angle before any."""
+        segs, target = sorted(segs), []
+        for t in t_grid:
+            angle = segs[0][1][0]
+            for (t_a, t_b), (th_a, th_b) in segs:
+                if t < t_a:
+                    break
+                if t <= t_b:
+                    angle = th_a + (t - t_a) / (t_b - t_a) * (th_b - th_a)
+                    break
+                angle = th_b
+            target.append(angle)
+        return np.array(target)
+
+    def test_itinerary_matches_the_sample_loop(self):
+        # segment ends on samples, between samples, adjacent and with gaps, in any order
+        cfg = make_config(100e3)
+        rng = np.random.default_rng(32)
+        for _ in range(300):
+            n_time = int(rng.integers(2, 40))
+            t_grid = np.linspace(0.0, cfg.pulse_duration, n_time)
+            ends = np.concatenate([t_grid[rng.integers(0, n_time, 4)],
+                                   rng.uniform(0.0, cfg.pulse_duration, 4)])
+            ends = np.unique(ends[rng.random(ends.size) < 0.7])
+            if ends.size < 2:
+                continue
+            pairs = [(a, b) for a, b in zip(ends, ends[1:]) if rng.random() < 0.7] \
+                or [(ends[0], ends[1])]
+            segs = [((a, b), tuple(rng.uniform(-1.5, 1.5, 2))) for a, b in pairs]
+            rng.shuffle(segs)
+            sched = fb.design_phase_schedule(cfg, 100e3, segs, n_time=n_time)
+            want = self.itinerary_by_loop(segs, sched.t_grid)
+            assert sched.target_theta.tobytes() == want.tobytes()
+
     def test_gap_holds_previous_end_angle(self):
         delta_f = 100e3
         cfg = make_config(delta_f)
@@ -307,16 +344,21 @@ class TestPhaseSchedule:
         assert np.allclose(sched.target_theta[mid], np.radians(30.0))
 
 
+def report_fields(text):
+    "The scan report's `key = value` lines as a dict of strings."
+    return dict(line.split(" = ") for line in text.splitlines())
+
+
 class TestScanReport:
     def test_round_trip_fields(self):
         cfg = make_config(200e3)
-        report = fb.build_scan_report(cfg, 200e3, t_eval=1.25e-6, k=0)
-        assert np.degrees(report.peak_direction_pred) == pytest.approx(-30.009, abs=1e-3)
-        assert report.scan_volume_approx == pytest.approx(2.0)
-        assert report.grating_index == 0
-        text = report.as_text()
-        assert "scan_volume_exact" in text
-        assert "peak_direction_pred_deg = -30.00" in text
+        text = fb.build_scan_report(cfg, 200e3, t_eval=1.25e-6, k=0)
+        fields = report_fields(text)
+        assert float(fields["peak_direction_pred_deg"]) == pytest.approx(-30.009, abs=1e-3)
+        assert float(fields["scan_volume_approx"]) == pytest.approx(2.0)
+        assert fields["grating_index"] == "0"
+        assert "scan_volume_exact" in fields
+        assert text.endswith("\n")
 
     @pytest.mark.parametrize("k", [-1, 0, 1])
     def test_grating_index_is_the_requested_order(self, k):
@@ -324,16 +366,18 @@ class TestScanReport:
         # records the order it was built for, not the highest visible one
         cfg = fb.ArrayConfig(num_elements=16, carrier_freq=1e10, spacing=0.03,
                              pulse_duration=5e-6)
-        report = fb.build_scan_report(cfg, 100e3, 0.0, k)
-        assert len(report.zero_time_peaks) == 3
-        assert report.grating_index == k
-        assert f"grating_index = {k}\n" in report.as_text()
+        text = fb.build_scan_report(cfg, 100e3, 0.0, k)
+        fields = report_fields(text)
+        assert len(fields["zero_time_peaks_deg"].split(",")) == 3
+        assert fields["grating_index"] == str(k)
+        assert f"grating_index = {k}\n" in text
 
     def test_off_sector_prediction_reported_as_none(self):
         cfg = make_config(200e3)
-        report = fb.build_scan_report(cfg, 200e3, t_eval=3e-6, k=0)
-        assert report.peak_direction_pred is None
-        assert "peak_direction_pred_deg = none" in report.as_text()
+        fields = report_fields(fb.build_scan_report(cfg, 200e3, t_eval=3e-6, k=0))
+        assert fields["peak_direction_pred_deg"] == "none"
+        assert fields["scan_speed_deg_per_us"] == "none"
+        assert fields["azimuth_resolution_deg"] == "none"
 
 
 class TestLargeOffsetRatio:

@@ -77,33 +77,33 @@ class TestChirpBank:
 
 class TestFoCoding:
     def test_square(self):
-        offs = fb.generate_offsets(fb.FoCoding("square", 1e3), 16)
+        offs = fb.coded_offsets("square", 1e3, 16)
         assert offs[3] == pytest.approx(9e3)
         assert offs[0] == 0.0
 
     def test_logarithmic(self):
-        offs = fb.generate_offsets(fb.FoCoding("logarithmic", 50e3), 16)
+        offs = fb.coded_offsets("logarithmic", 50e3, 16)
         assert offs[0] == 0.0
         assert offs[1] == pytest.approx(np.log(2) * 50e3)
 
     def test_random_reproducible(self):
-        a = fb.generate_offsets(fb.FoCoding("random", 100e3, seed=7), 16)
-        b = fb.generate_offsets(fb.FoCoding("random", 100e3, seed=7), 16)
+        a = fb.coded_offsets("random", 100e3, 16, seed=7)
+        b = fb.coded_offsets("random", 100e3, 16, seed=7)
         assert np.array_equal(a, b)
         assert np.all((a >= 0) & (a < 100e3))
 
     def test_random_needs_seed(self):
-        with pytest.raises(ValueError):
-            fb.FoCoding("random", 100e3)
+        with pytest.raises(ValueError, match="requires a seed"):
+            fb.coded_offsets("random", 100e3, 16)
 
     def test_costas_defaults(self):
-        offs = fb.generate_offsets(fb.FoCoding("costas", 5e3), 16)
+        offs = fb.coded_offsets("costas", 5e3, 16)
         assert np.array_equal(offs, np.array(fb.DEFAULT_COSTAS_16) * 5e3)
 
     def test_costas_table_too_short(self):
         # the default table covers 16 elements
         with pytest.raises(ValueError):
-            fb.generate_offsets(fb.FoCoding("costas", 5e3), 17)
+            fb.coded_offsets("costas", 5e3, 17)
 
     def test_costas_property_of_default_table(self):
         # all displacement vectors distinct: Costas condition
@@ -117,13 +117,13 @@ class TestFoCoding:
                 seen.add(vec)
 
     def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            fb.FoCoding("fibonacci", 1e3)
+        with pytest.raises(ValueError, match="unknown FO coding scheme"):
+            fb.coded_offsets("fibonacci", 1e3, 16)
 
     @given(seed=st.integers(0, 2**31), m=st.integers(1, 16))
     def test_purity(self, seed, m):
-        coding = fb.FoCoding("random", 1e3, seed=seed)
-        assert np.array_equal(fb.generate_offsets(coding, m), fb.generate_offsets(coding, m))
+        assert np.array_equal(fb.coded_offsets("random", 1e3, m, seed),
+                              fb.coded_offsets("random", 1e3, m, seed))
 
 
 class TestFreqOffsetFolding:
