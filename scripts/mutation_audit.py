@@ -86,7 +86,24 @@ MUTANTS = (
      "orders = np.ceil(np.log(bound) / np.log(2.0 * radius))",
      "orders = np.ceil(np.log(bound) / np.log(2.0 * radius)) - 2"),
     ("kink-rule-dropped", "beampattern_instant.py",
-     "    if not plan.smooth:\n        orders[(lo[1:] <= 0.0) & (hi[1:] >= 0.0)] = np.inf\n", ""),
+     "    if not plan.smooth:\n        orders[(lo <= 0.0) & (hi >= 0.0)] = np.inf\n", ""),
+    ("pole-rule-dropped", "beampattern_instant.py",
+     "    orders[(hi - t_prime) * 2.0 > plan.time_scale] = np.inf\n", ""),
+    # rows whose spread over their own tau range reaches 0.05 cycle sent to the loop
+    ("spread-cap-restored", "beampattern_instant.py",
+     "    order = np.maximum(np.fmin.reduce(orders, initial=np.inf), 1.0)\n",
+     "    order = np.maximum(np.fmin.reduce(orders, initial=np.inf), 1.0)\n"
+     "    lo, hi = local_time_ends(config, t_prime)\n"
+     "    with np.errstate(all=\"ignore\"):\n"
+     "        spread = scale * np.maximum(np.abs(plan.phase_slope(lo)), "
+     "np.abs(plan.phase_slope(hi)))\n"
+     "    order[~(spread < 0.05)] = np.inf\n"),
+    # a row with no bound at any radius takes a nan order, which sends every row to the loop
+    ("nan-order-ends-the-product", "beampattern_instant.py",
+     "np.fmin.reduce(orders, initial=np.inf)", "np.fmin.reduce(orders)"),
+    # the rows up to the cost model's order interpolated at the smallest order of any row
+    ("shared-order-is-smallest", "beampattern_instant.py",
+     "int(ranked[best])", "int(ranked[0])"),
     ("product-chi-at-row-time", "beampattern_instant.py",
      "cycles = plan.chi(index[1:, None], tau) * tau",
      "cycles = plan.chi(index[1:, None], t_prime[start:stop, None, None] + 0 * tau) * tau"),

@@ -63,9 +63,6 @@ Each block is one single-threaded BLAS product into its rows, or one
 per-element loop whose buffers are block-sized; the thread pool runs blocks
 side by side."""
 
-TM_SPREAD_CAP = 0.05
-"Phase spread V in cycles from which a time-modulated row takes the per-element loop."
-
 TM_INTERP_TARGET = 1e-17
 "Target of the interpolation error bound that sets the Chebyshev order K."
 
@@ -208,24 +205,23 @@ def _product_rows(config: ArrayConfig, plan: TimeModulatedPlan,
     2*(exp(2*pi*r*V_i(r)) - 1)/(2r)^K.  Row i's order K_i is the smallest
     whose bound meets TM_INTERP_TARGET at the best radius in TM_RADII.  A
     disk is not used if its tau range reaches the kink of a sqrt or cbrt form
-    at 0, or half the time scale (arctan has poles at +-1j*time_scale).  Rows
-    with V_i at or above TM_SPREAD_CAP, or overflowing, have no order.  The
-    shared K minimizes K*(rows with K_i <= K) + TM_LOOP_ORDERS*(rows left to
-    the loop).
+    at 0, or half the time scale (arctan has poles at +-1j*time_scale).  A
+    row whose bound is inf or nan at every radius has no order.  The shared
+    K minimizes K*(rows with K_i <= K) + TM_LOOP_ORDERS*(rows left to the
+    loop), which alone decides how far into a steep plan the product reaches.
     """
-    widths = 1.0 + np.append(0.0, TM_RADII)[:, None]
-    lo, hi = local_time_ends(config, t_prime, widths)  # row 0: the tau range itself
-    scale = (config.num_elements - 1) ** 2 * config.spacing / config.wave_speed
     radius = TM_RADII[:, None]
+    lo, hi = local_time_ends(config, t_prime, 1.0 + radius)
+    scale = (config.num_elements - 1) ** 2 * config.spacing / config.wave_speed
     with np.errstate(all="ignore"):  # an h' that overflows gives no order: the loop row
         spread = scale * np.maximum(np.abs(plan.phase_slope(lo)), np.abs(plan.phase_slope(hi)))
-        bound = 2.0 * np.expm1(2.0 * np.pi * radius * spread[1:]) / TM_INTERP_TARGET
+        bound = 2.0 * np.expm1(2.0 * np.pi * radius * spread) / TM_INTERP_TARGET
         orders = np.ceil(np.log(bound) / np.log(2.0 * radius))
-    orders[(hi[1:] - t_prime) * 2.0 > plan.time_scale] = np.inf
+    orders[(hi - t_prime) * 2.0 > plan.time_scale] = np.inf
     if not plan.smooth:
-        orders[(lo[1:] <= 0.0) & (hi[1:] >= 0.0)] = np.inf
-    # fmin skips a nan order; an order below 1 (no spread) is 1
-    order = np.where(spread[0] < TM_SPREAD_CAP, np.maximum(np.fmin.reduce(orders), 1.0), np.inf)
+        orders[(lo <= 0.0) & (hi >= 0.0)] = np.inf
+    # fmin skips a nan order (all nan: the initial inf); an order below 1 (no spread) is 1
+    order = np.maximum(np.fmin.reduce(orders, initial=np.inf), 1.0)
     ranked = np.sort(order)
     taken = np.arange(1, ranked.size + 1)
     cost = ranked * taken + TM_LOOP_ORDERS * (ranked.size - taken)

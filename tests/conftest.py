@@ -20,6 +20,17 @@ def make_config(delta_f: float, num_elements: int = 16, carrier: float = 1e10,
     )
 
 
+# h(t) = rate*g(t/T)*t is element 1's offset phase in cycles under a time-modulated plan.  Per
+# form: g, and the slope g(x) + x*g'(x) of x*g(x), so that h'(t) = rate*slope(t/T); written
+# independently of the library's table
+TM_PHASE = {
+    "sqrt": (lambda x: np.sqrt(np.maximum(x, 0.0)), lambda x: 1.5 * np.sqrt(np.maximum(x, 0.0))),
+    "cbrt": (np.cbrt, lambda x: 4.0 / 3.0 * np.cbrt(x)),
+    "arctan": (np.arctan, lambda x: np.arctan(x) + x / (1.0 + x * x)),
+    "sinh": (np.sinh, lambda x: np.sinh(x) + x * np.cosh(x)),
+}
+
+
 @pytest.fixture(scope="session")
 def preset_runs(tmp_path_factory):
     "Every preset run once: {name: (output directory, seconds taken)}."

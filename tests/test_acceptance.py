@@ -17,7 +17,7 @@ from fdabeam import cli
 from fdabeam.beampattern_instant import exact_field_matrix
 from fdabeam.presets import PRESETS
 
-from conftest import make_config
+from conftest import TM_PHASE, make_config
 from test_beampattern_integral import fgtb_direct_oracle
 
 M = 16
@@ -369,3 +369,44 @@ def test_criterion_12_fgtb_mimo_equivalence_condition():
     report(12, "FGTB-MIMO deviation at 0.1/0.5/1/2/5x the upper bound: "
                + ", ".join(f"{d:.1e}" for d in deviation)
                + f"; within phi^2/2 inside, monotone, >= {at_bound:.2f} at 5x")
+
+
+@pytest.mark.parametrize("form,rate,time_scale", [
+    ("sqrt", 60e3, 1e-6),
+    ("cbrt", 60e3, 1e-6),
+    ("arctan", 100e3, 0.5e-6),
+    ("sinh", 20e3, 2e-6),
+    ("sinh", 60e3, 1e-6),  # about 22 cycles of scan
+])
+def test_criterion_13_time_modulated_scan_law(form, rate, time_scale):
+    # Element m's phase is m*h(t' + m*delta) + m*f_c*delta with delta = d*sin(theta)/c.  The
+    # law neglects m*delta inside h: then every element's phase is m*(h(t') + f_c*delta), and
+    # the mainlobe sits where sin(theta) = (k - h(t'))*c/(f_c*d) for an integer k.  The
+    # neglected h(t' + m*delta) - h(t') reaches (M-1)*(d/c)*max|h'| cycles on the last
+    # element, max over the row's element-local times t' -+ (M-1)*d/c, so the peak moves by
+    # at most (M-1)*max|h'|/f_c in sine, plus one azimuth step pi/N_theta of sampling.
+    n_time, n_theta = 256, 2048
+    cfg = make_config(0.0)
+    plan = fb.TimeModulatedPlan(form, rate, time_scale)
+    grid = fb.sweep_grid(cfg, plan, fb.uniform_weights(M), RECT, n_time=n_time, n_theta=n_theta)
+    traj = fb.measure_peak_trajectory(grid)
+    g, slope = TM_PHASE[form]
+    h = rate * g(traj.t / time_scale) * traj.t
+    step = cfg.wave_speed / (cfg.carrier_freq * cfg.spacing)  # one k in sine units
+    s = np.sin(traj.theta)
+    law = (np.rint(h + s / step) - h) * step  # the nearest k
+    reach = (M - 1) * cfg.spacing / cfg.wave_speed
+    max_slope = rate * np.maximum(np.abs(slope((traj.t - reach) / time_scale)),
+                                  np.abs(slope((traj.t + reach) / time_scale)))
+    bound = np.pi / n_theta + (M - 1) * max_slope / cfg.carrier_freq
+    keep = np.abs(traj.theta) <= np.radians(60.0)
+    assert keep.sum() > n_time // 2 and not traj.ambiguous[keep].any()
+    share = (np.abs(s - law) / bound)[keep]
+    worst = int(np.flatnonzero(keep)[np.argmax(share)])
+    assert share.max() <= 1.0, (
+        f"at t' = {traj.t[worst] * 1e6:.3f} us the peak is at sin {s[worst]:.5f}, "
+        f"the law gives {law[worst]:.5f}, bound {bound[worst]:.2e}")
+    report(13, f"{form} {rate / 1e3:g} kHz/{time_scale * 1e6:g} us: {h[-1]:.1f} cycles of "
+               f"scan, {keep.sum()} rows within +-60 deg follow the law within "
+               f"{np.abs(s - law)[keep].max():.1e} in sine, at most {share.max():.2f} of the "
+               f"neglected-term bound")
